@@ -75,8 +75,8 @@ def _resolve_grid(args, parsed: ParsedProblem) -> np.ndarray:
         raise ProblemFileError(
             "no horizon: set \"horizon\" in the file or pass --horizon"
         )
-    if not horizon > 0.0:
-        raise ProblemFileError("--horizon must be positive")
+    if not 0.0 < horizon < np.inf:
+        raise ProblemFileError("--horizon must be a finite positive number")
     points = args.grid if args.grid is not None else (parsed.grid_points or 200)
     if points < 1:
         raise ProblemFileError("--grid must be at least 1")

@@ -23,6 +23,7 @@ optional; input.past may be omitted only for first-form conditions.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from numbers import Real
 
@@ -67,8 +68,8 @@ def parse_problem(data) -> ParsedProblem:
 
     horizon = data.get("horizon")
     if horizon is not None:
-        if not isinstance(horizon, Real) or not float(horizon) > 0.0:
-            raise ProblemFileError("horizon: must be a positive number")
+        if not isinstance(horizon, Real) or not 0.0 < horizon <= sys.float_info.max:
+            raise ProblemFileError("horizon: must be a finite positive number")
         horizon = float(horizon)
     grid_points = data.get("grid")
     if grid_points is not None:

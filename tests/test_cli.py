@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +174,12 @@ class TestSimulate:
         assert code == 1
         assert "horizon" in err
 
+    def test_non_finite_horizon(self, capsys):
+        for bad in ("inf", "nan"):
+            code, out, err = run(capsys, "simulate", RAMP, "--horizon", bad)
+            assert code == 1 and out == ""
+            assert "--horizon" in err
+
 
 class TestEcho:
     def test_echo_is_canonical_fixpoint(self, capsys, tmp_path):
@@ -205,3 +215,23 @@ class TestErrors:
         code, _, err = run(capsys, "solve", "problems/nope.json")
         assert code == 1
         assert "nope.json" in err
+
+
+class TestColdStart:
+    def test_scipy_loaded_only_by_simulate(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        script = (
+            "import sys\n"
+            "import ltivp\n"
+            "after_import = 'scipy' in sys.modules\n"
+            "from ltivp.cli import main\n"
+            f"main(['solve', {REST!r}])\n"
+            "print(after_import, 'scipy' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False False"

@@ -159,6 +159,16 @@ class TestFieldErrors:
         with pytest.raises(ProblemFileError, match="horizon"):
             parse_problem(base_data(horizon=-1.0))
 
+    def test_non_finite_horizon(self, tmp_path):
+        for bad in (float("inf"), float("nan"), 10**400):
+            with pytest.raises(ProblemFileError, match="horizon"):
+                parse_problem(base_data(horizon=bad))
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(base_data(horizon=float("inf"))))
+        assert "Infinity" in path.read_text()
+        with pytest.raises(ProblemFileError, match="horizon"):
+            load_problem(str(path))
+
     def test_bad_grid(self):
         with pytest.raises(ProblemFileError, match="grid"):
             parse_problem(base_data(grid=0))

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -10,7 +11,7 @@ from ltivp.laplace import IVProblem, solve_ivp
 from ltivp.ode import LinearODE
 from ltivp.realization import StateSpace, observable_canonical
 from ltivp.signal import PiecewiseInput, Signal
-from ltivp.simulate import default_grid, simulate, simulate_ivp
+from ltivp.simulate import _uniform_step, default_grid, simulate, simulate_ivp
 
 from conftest import random_ode, random_signal
 
@@ -68,6 +69,73 @@ class TestSimulate:
             simulate(ss, [0.0], Signal.zero(), [-0.5, 1.0])
         with pytest.raises(ValueError):
             simulate(ss, [0.0, 0.0], Signal.zero(), [1.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="grid"):
+                simulate(ss, [0.0], Signal.zero(), [0.5, bad])
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestUniformGrid:
+    def test_matches_stepping_loop(self):
+        # nudging one interior sample sends the grid down the per-step loop
+        uniform = np.linspace(0.015, 3.0, 200)
+        nudged = uniform.copy()
+        nudged[87] += 1e-3 * (uniform[1] - uniform[0])
+        assert _uniform_step(uniform) is not None and _uniform_step(nudged) is None
+        rng = np.random.default_rng(704)
+        for _ in range(20):
+            ss = observable_canonical(random_ode(rng, nmax=5))
+            x0 = rng.uniform(-2, 2, ss.n)
+            u = random_signal(rng)
+            a = simulate(ss, x0, u, uniform)
+            b = simulate(ss, x0, u, nudged)
+            keep = np.arange(200) != 87
+            for got, want in ((b.states, a.states), (b.outputs, a.outputs)):
+                scale = np.max(np.abs(want), axis=0)
+                assert np.all(np.abs(got[keep] - want[keep]) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("kind", ["ramp", "sinusoid"])
+    def test_dense_grid_matches_direct_exponential(self, kind):
+        # reference: one expm per sample of a hand-built real augmented block,
+        # [x; t; 1] for the ramp and [x; cos wt; sin wt] for the sinusoid
+        ss = observable_canonical(EX1)
+        w = 1.3
+        if kind == "ramp":
+            u, gen, z0 = Signal.ramp(), [[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0]
+        else:
+            u, gen, z0 = Signal.cosine(w), [[0.0, -w], [w, 0.0]], [1.0, 0.0]
+        aug = np.zeros((4, 4))
+        aug[:2, :2] = ss.A
+        aug[:2, 2] = ss.B
+        aug[2:, 2:] = gen
+        x0 = np.array([0.7, -1.2])
+        w0 = np.concatenate([x0, z0])
+        grid = np.linspace(30.0 / 10_000, 30.0, 10_000)
+        traj = simulate(ss, x0, u, grid)
+        for i in np.linspace(0, len(grid) - 1, 12).astype(int):
+            want = expm(aug * grid[i]) @ w0
+            assert_allclose(traj.states[i], want[:2], rtol=1e-10, atol=1e-10)
+            assert traj.outputs[i] == pytest.approx(ss.C @ want[:2] + ss.D * want[2], rel=1e-10, abs=1e-10)
+
+    def test_input_evaluated_once_and_two_exponentials(self, monkeypatch):
+        u_calls = _count_calls(monkeypatch, Signal, "__call__")
+        expm_calls = _count_calls(monkeypatch, scipy.linalg, "expm")
+        ss = observable_canonical(EX1)
+        simulate(ss, [0.5, -0.5], Signal.cosine(2.0) + Signal.ramp(), default_grid(3.0, 1000))
+        assert len(u_calls) == 1
+        assert len(expm_calls) <= 2
 
 
 class TestDefaultGrid:
@@ -82,6 +150,9 @@ class TestDefaultGrid:
             default_grid(0.0)
         with pytest.raises(ValueError):
             default_grid(1.0, points=0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="horizon"):
+                default_grid(bad)
 
 
 class TestSimulateIVP:
