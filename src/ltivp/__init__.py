@@ -4,108 +4,45 @@ may switch expressions at t = 0.
 Two independent solution paths are provided: a closed-form Laplace-domain
 pipeline (solve_ivp) and exact state-space simulation (simulate_ivp), tied
 together by condition-stack bookkeeping across the switch.
+
+The names below are the documented surface (see README); everything else
+is importable from its submodule.
 """
 
 from .errors import NotObservable, NotStrictlyProper, ProblemFileError
 from .ic import (
     ConditionPair,
-    ContinuityEntry,
     ContinuityReport,
     classify_continuity,
     map_previous_to_first,
     recover_state,
 )
-from .laplace import (
-    IVProblem,
-    LaplaceSolution,
-    assemble,
-    first_conditions,
-    invert,
-    previous_conditions,
-    solution_transform,
-    solve_ivp,
-)
-from .ode import LinearODE, ic_vectors, relative_degree, transfer_function
-from .poly import (
-    PartialFractionExpansion,
-    PartialFractionTerm,
-    Polynomial,
-    RationalFunction,
-    partial_fractions,
-    poly_roots,
-)
-from .realization import (
-    EquivalenceReport,
-    StateSpace,
-    check_equivalence,
-    markov_matrix,
-    markov_parameters,
-    observability_matrix,
-    observable_canonical,
-    ss_markov_matrix,
-    ss_markov_parameters,
-    ss_transfer_function,
-)
-from .signal import (
-    Mode,
-    PiecewiseInput,
-    Signal,
-    condition_stack,
-    format_signal,
-    from_partial_fractions,
-    laplace_transform,
-)
-from .simulate import Trajectory, default_grid, simulate, simulate_ivp
+from .laplace import IVProblem, solve_ivp
+from .ode import LinearODE
+from .realization import StateSpace, check_equivalence, observable_canonical
+from .signal import PiecewiseInput, Signal, format_signal
+from .simulate import Trajectory, simulate_ivp
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConditionPair",
-    "ContinuityEntry",
     "ContinuityReport",
-    "EquivalenceReport",
     "IVProblem",
-    "LaplaceSolution",
     "LinearODE",
-    "Mode",
     "NotObservable",
     "NotStrictlyProper",
-    "PartialFractionExpansion",
-    "PartialFractionTerm",
     "PiecewiseInput",
-    "Polynomial",
     "ProblemFileError",
-    "RationalFunction",
     "Signal",
     "StateSpace",
     "Trajectory",
-    "assemble",
     "check_equivalence",
     "classify_continuity",
-    "condition_stack",
-    "default_grid",
-    "first_conditions",
     "format_signal",
-    "from_partial_fractions",
-    "ic_vectors",
-    "invert",
-    "laplace_transform",
     "map_previous_to_first",
-    "markov_matrix",
-    "markov_parameters",
-    "observability_matrix",
     "observable_canonical",
-    "partial_fractions",
-    "poly_roots",
-    "previous_conditions",
     "recover_state",
-    "relative_degree",
-    "solution_transform",
-    "solve_ivp",
-    "simulate",
     "simulate_ivp",
-    "ss_markov_matrix",
-    "ss_markov_parameters",
-    "ss_transfer_function",
-    "transfer_function",
+    "solve_ivp",
 ]

@@ -17,7 +17,6 @@ import numpy as np
 from . import laplace
 from .errors import ProblemFileError
 from .ic import classify_continuity
-from .ode import relative_degree
 from .problemfile import ParsedProblem, emit_problem, load_problem
 from .realization import (
     check_equivalence,
@@ -119,11 +118,9 @@ def cmd_map_ic(args, tol: float) -> int:
         raise ProblemFileError(
             "map-ic requires previous-form conditions (conditions.kind = 'previous')"
         )
-    n = problem.ode.n
     y_prev, u_prev = laplace.previous_conditions(problem)
-    u_first = condition_stack(problem.input.future, n)
+    y_first, u_first = laplace.first_conditions(problem)
     M = markov_matrix(problem.ode)
-    y_first = y_prev + M @ (u_first - u_prev)
     print(f"Y(0-) = {_vec(y_prev)}")
     print(f"U(0-) = {_vec(u_prev)}")
     print(f"U(0+) = {_vec(u_first)}")
@@ -186,8 +183,7 @@ def cmd_check(args, tol: float) -> int:
     n = ode.n
     u_jump = condition_stack(problem.input.future, n) - condition_stack(problem.input.past, n)
     creport = classify_continuity(ode, u_jump, tol=tol)
-    r, m = relative_degree(ode)
-    print(f"continuity at t = 0 (r = {r}, m = {m}):")
+    print(f"continuity at t = 0 (r = {creport.r}, m = {creport.m}):")
     for entry in creport.entries:
         verdict = "continuous" if entry.continuous else "discontinuous"
         print(f"  y^({entry.order}): jump {_g(entry.jump)} -> {verdict}")

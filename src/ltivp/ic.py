@@ -20,6 +20,7 @@ from .realization import (
     StateSpace,
     markov_matrix,
     observability_matrix,
+    observability_ratio,
     ss_markov_matrix,
 )
 
@@ -78,23 +79,17 @@ def map_previous_to_first(ode: LinearODE, y_prev, u_prev, u_first) -> np.ndarray
     return y_prev + markov_matrix(ode) @ (u_first - u_prev)
 
 
-def recover_state(
-    ss: StateSpace,
-    y_stack,
-    u_stack,
-    obs_rtol: float = OBSERVABILITY_RTOL,
-) -> np.ndarray:
+def recover_state(ss: StateSpace, y_stack, u_stack) -> np.ndarray:
     """Solve O x = Y - M U for the state at the instant of the stacks."""
     n = ss.n
     y_stack = _stack(y_stack, n, "y_stack")
     u_stack = _stack(u_stack, n, "u_stack")
     O = observability_matrix(ss)
-    sigmas = np.linalg.svd(O, compute_uv=False)
-    if sigmas[0] == 0.0 or sigmas[-1] <= obs_rtol * sigmas[0]:
+    ratio = observability_ratio(O)
+    if not ratio > OBSERVABILITY_RTOL:
         raise NotObservable(
             "observability matrix is singular to working precision "
-            f"(sigma_min/sigma_max = {0.0 if sigmas[0] == 0.0 else sigmas[-1] / sigmas[0]:.3e}); "
-            "no unique state matches the output stack"
+            f"(sigma_min/sigma_max = {ratio:.3e}); no unique state matches the output stack"
         )
     return np.linalg.solve(O, y_stack - ss_markov_matrix(ss) @ u_stack)
 

@@ -107,23 +107,17 @@ def first_conditions(problem: IVProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_ivp(problem: IVProblem) -> Signal:
-    """Closed-form y(t) for t > 0 as an exponential-polynomial signal.
+    """Closed-form y(t) for t > 0 as an exponential-polynomial signal."""
+    return invert(solution_transform(problem).Ys).trimmed()
+
+
+def solution_transform(problem: IVProblem) -> LaplaceSolution:
+    """The assembled Laplace-domain solution without inverting it.
 
     Previous-form stacks are fed to assemble as-is; converting them to
     first conditions beforehand would give the same transform, and mixing
     sides is the one thing that does not.
     """
-    Us = laplace_transform(problem.input.future)
-    if problem.conditions.kind == "first":
-        y_stack, u_stack = first_conditions(problem)
-    else:
-        y_stack, u_stack = previous_conditions(problem)
-    solution = assemble(problem.ode, Us, y_stack, u_stack)
-    return invert(solution.Ys).trimmed(1e-12)
-
-
-def solution_transform(problem: IVProblem) -> LaplaceSolution:
-    """The assembled Laplace-domain solution without inverting it."""
     Us = laplace_transform(problem.input.future)
     if problem.conditions.kind == "first":
         y_stack, u_stack = first_conditions(problem)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .poly import Polynomial, RationalFunction
+from .poly import Polynomial, RationalFunction, fmt_number, signed_sum
 
 
 class LinearODE:
@@ -69,17 +69,13 @@ def _deriv_name(var: str, order: int) -> str:
 
 def _side_string(var: str, coeffs: np.ndarray) -> str:
     n = len(coeffs) - 1
-    parts = []
+    terms = []
     for j, c in enumerate(coeffs):
         if c == 0.0:
             continue
         name = _deriv_name(var, n - j)
-        body = name if abs(c) == 1.0 else f"{abs(c):.12g}*{name}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+        terms.append((c, name if abs(c) == 1.0 else f"{fmt_number(abs(c))}*{name}"))
+    return signed_sum(terms)
 
 
 def relative_degree(ode: LinearODE) -> tuple[int, int]:

@@ -14,8 +14,11 @@ import numpy as np
 
 _EPS = float(np.finfo(float).eps)
 
+#: Largest imaginary residue, relative to 1 + max |real part|, cast away as rounding.
+REAL_RESIDUE_TOL = 1e-6
 
-def as_real_coeffs(values, tol: float = 1e-6, what: str = "coefficients") -> np.ndarray:
+
+def as_real_coeffs(values, what: str = "coefficients") -> np.ndarray:
     """Cast a complex coefficient array to real, checking the imaginary residue.
 
     Conjugate-closed constructions leave only rounding noise in the imaginary
@@ -24,7 +27,7 @@ def as_real_coeffs(values, tol: float = 1e-6, what: str = "coefficients") -> np.
     arr = np.asarray(values, dtype=complex)
     scale = 1.0 + (np.max(np.abs(arr.real)) if arr.size else 0.0)
     resid = np.max(np.abs(arr.imag)) if arr.size else 0.0
-    if resid > tol * scale:
+    if resid > REAL_RESIDUE_TOL * scale:
         raise ValueError(f"{what} are not real: imaginary residue {resid:g}")
     return arr.real.copy()
 
@@ -87,12 +90,6 @@ class Polynomial:
             return Polynomial.zero()
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def monic(self) -> "Polynomial":
-        lead = self.coeffs[-1]
-        if lead == 0.0:
-            raise ValueError("zero polynomial has no monic form")
-        return Polynomial([c / lead for c in self.coeffs])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
@@ -116,9 +113,6 @@ class Polynomial:
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "Polynomial":
-        return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, float)):
@@ -150,22 +144,19 @@ class Polynomial:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        parts = []
+        terms = []
         for k in range(self.degree, -1, -1):
             c = self.coeffs[k]
             if c == 0.0:
                 continue
-            mag = _fmt(abs(c))
+            mag = fmt_number(abs(c))
             if k == 0:
                 body = mag
             else:
                 var = "s" if k == 1 else f"s^{k}"
                 body = var if abs(c) == 1.0 else f"{mag} {var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+            terms.append((c, body))
+        return signed_sum(terms)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
@@ -179,8 +170,20 @@ def _as_poly(x) -> Polynomial:
     raise TypeError(f"cannot treat {type(x).__name__} as a polynomial")
 
 
-def _fmt(x: float) -> str:
+def fmt_number(x: float) -> str:
+    """A coefficient as printed everywhere: 12 significant digits."""
     return f"{x:.12g}"
+
+
+def signed_sum(terms) -> str:
+    """Join (coefficient, body) terms as "a + b - c", signed by the coefficient."""
+    parts = []
+    for c, body in terms:
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
 
 
 class RationalFunction:
@@ -283,13 +286,13 @@ def _as_rational(x) -> RationalFunction:
 CLUSTER_TOL = 1e-7
 
 
-def _merge_radius(m: int, tol: float) -> float:
+def _merge_radius(m: int) -> float:
     # Companion-matrix eigenvalues of a multiplicity-m root scatter like
     # eps**(1/m), so the merge radius must grow with the candidate size.
-    return max(tol, (1e3 * _EPS) ** (1.0 / m))
+    return max(CLUSTER_TOL, (1e3 * _EPS) ** (1.0 / m))
 
 
-def _cluster(roots: np.ndarray, tol: float) -> list[list[complex]]:
+def _cluster(roots: np.ndarray) -> list[list[complex]]:
     """Group companion-matrix eigenvalues into candidate multiple roots.
 
     The eigenvalues of an exact multiplicity-m root scatter like eps**(1/m),
@@ -304,22 +307,16 @@ def _cluster(roots: np.ndarray, tol: float) -> list[list[complex]]:
     groups: list[list[complex]] = [[complex(r)] for r in roots]
     groups.sort(key=lambda g: (g[0].real, g[0].imag))
     for m in range(len(groups), 1, -1):
-        radius = _merge_radius(m, tol)
+        radius = _merge_radius(m)
         while True:
-            merged = False
-            for comp in _link_components(groups, radius):
-                if len(comp) > 1 and sum(len(groups[i]) for i in comp) >= m:
-                    merged = True
-                    break
-            if not merged:
+            comps = _link_components(groups, radius)
+            merge = [len(c) > 1 and sum(len(groups[i]) for i in c) >= m for c in comps]
+            if not any(merge):
                 break
             new_groups: list[list[complex]] = []
-            for comp in _link_components(groups, radius):
-                if len(comp) > 1 and sum(len(groups[i]) for i in comp) >= m:
-                    block: list[complex] = []
-                    for i in comp:
-                        block.extend(groups[i])
-                    new_groups.append(block)
+            for comp, merging in zip(comps, merge):
+                if merging:
+                    new_groups.append([z for i in comp for z in groups[i]])
                 else:
                     new_groups.extend(groups[i] for i in comp)
             groups = new_groups
@@ -355,7 +352,7 @@ def _centroid(group: list[complex]) -> complex:
     return sum(group) / len(group)
 
 
-def _polish_root(p: Polynomial, center: complex, mult: int, tol: float) -> complex:
+def _polish_root(p: Polynomial, center: complex, mult: int) -> complex:
     # A multiplicity-m root of p is a simple root of the (m-1)-th derivative,
     # where plain Newton iteration is well conditioned.
     q = p
@@ -377,7 +374,7 @@ def _polish_root(p: Polynomial, center: complex, mult: int, tol: float) -> compl
         x = x_new
     # Reject a polish that wandered off to a different root of q.
     scale = 1.0 + max(abs(center), abs(x))
-    if abs(x - center) > 2.0 * _merge_radius(mult, tol) * scale:
+    if abs(x - center) > 2.0 * _merge_radius(mult) * scale:
         return center
     return x
 
@@ -410,7 +407,7 @@ def _symmetrize_conjugates(pairs: list[tuple[complex, int]]) -> list[tuple[compl
     return out
 
 
-def poly_roots(p: Polynomial, cluster_tol: float = CLUSTER_TOL) -> list[tuple[complex, int]]:
+def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
     """All roots of p with multiplicities, as (root, multiplicity) pairs.
 
     Roots come from the eigenvalues of the companion matrix.  Eigenvalues
@@ -424,10 +421,8 @@ def poly_roots(p: Polynomial, cluster_tol: float = CLUSTER_TOL) -> list[tuple[co
     if p.degree == 0:
         return []
     raw = np.roots(np.asarray(p.coeffs[::-1], dtype=float))
-    groups = _cluster(raw, cluster_tol)
-    pairs = [
-        (_polish_root(p, _centroid(g), len(g), cluster_tol), len(g)) for g in groups
-    ]
+    groups = _cluster(raw)
+    pairs = [(_polish_root(p, _centroid(g), len(g)), len(g)) for g in groups]
     return _symmetrize_conjugates(pairs)
 
 
@@ -462,21 +457,22 @@ class PartialFractionExpansion:
                 den = np.convolve(den, [-pole, 1.0])
         num = np.zeros(max(len(den) - 1, 1), dtype=complex)
         if not self.polynomial_part.is_zero:
-            num = _cadd(num, np.convolve(self.polynomial_part.coeffs, den))
+            num = add_coeffs(num, np.convolve(self.polynomial_part.coeffs, den))
         for t in self.terms:
             factor = np.array([t.coeff])
             for pole, kmax in by_pole.items():
                 power = kmax - t.order if pole == t.pole else kmax
                 for _ in range(power):
                     factor = np.convolve(factor, [-pole, 1.0])
-            num = _cadd(num, factor)
+            num = add_coeffs(num, factor)
         return RationalFunction(
             Polynomial(as_real_coeffs(num, what="recombined numerator")),
             Polynomial(as_real_coeffs(den, what="recombined denominator")),
         )
 
 
-def _cadd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def add_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of two coefficient arrays of any lengths, as complex."""
     if len(a) < len(b):
         a, b = b, a
     out = a.astype(complex).copy()
@@ -484,26 +480,29 @@ def _cadd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _divide_linear(coeffs: np.ndarray, x0: complex) -> tuple[np.ndarray, complex]:
+    """Synthetic division by (s - x0): the quotient and the remainder p(x0)."""
+    quotient = np.zeros(len(coeffs) - 1, dtype=complex)
+    acc = 0.0 + 0.0j
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc = acc * x0 + coeffs[i]
+        quotient[i - 1] = acc
+    return quotient, acc * x0 + coeffs[0]
+
+
 def _taylor(coeffs: np.ndarray, x0: complex, count: int) -> np.ndarray:
     """First `count` Taylor coefficients of the polynomial about x0."""
-    work = list(np.asarray(coeffs, dtype=complex))
+    work = np.asarray(coeffs, dtype=complex)
     out = np.zeros(count, dtype=complex)
     for k in range(count):
-        # synthetic division by (s - x0); the remainder is the next coefficient
-        acc = 0.0 + 0.0j
-        for i in range(len(work) - 1, -1, -1):
-            acc = acc * x0 + work[i]
-            work[i] = acc
-        out[k] = work[0]
-        work = work[1:]
-        if not work:
+        # each remainder is the next coefficient
+        work, out[k] = _divide_linear(work, x0)
+        if not len(work):
             break
     return out
 
 
-def partial_fractions(
-    rf: RationalFunction, cluster_tol: float = CLUSTER_TOL
-) -> PartialFractionExpansion:
+def partial_fractions(rf: RationalFunction) -> PartialFractionExpansion:
     """Expand a rational function into polynomial part plus pole terms.
 
     Each pole of multiplicity m contributes terms of order 1..m whose
@@ -517,12 +516,12 @@ def partial_fractions(
         poly_part = Polynomial.zero()
     if num.is_zero:
         return PartialFractionExpansion(poly_part, ())
-    roots = poly_roots(den, cluster_tol)
+    roots = poly_roots(den)
     terms: list[PartialFractionTerm] = []
     for pole, mult in roots:
         deflated = np.asarray(den.coeffs, dtype=complex)
         for _ in range(mult):
-            deflated = _deflate(deflated, pole)
+            deflated, _ = _divide_linear(deflated, pole)
         num_t = _taylor(np.asarray(num.coeffs, dtype=complex), pole, mult)
         den_t = _taylor(deflated, pole, mult)
         ratio = np.zeros(mult, dtype=complex)
@@ -538,16 +537,6 @@ def partial_fractions(
             terms.append(PartialFractionTerm(pole, mult - j, coeff))
     terms = _pair_conjugate_coeffs(terms)
     return PartialFractionExpansion(poly_part, tuple(terms))
-
-
-def _deflate(coeffs: np.ndarray, root: complex) -> np.ndarray:
-    """Divide by (s - root), dropping the (near-zero) remainder."""
-    out = np.zeros(len(coeffs) - 1, dtype=complex)
-    acc = 0.0 + 0.0j
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc * root + coeffs[i]
-        out[i - 1] = acc
-    return out
 
 
 def _pair_conjugate_coeffs(

@@ -16,7 +16,7 @@ import numpy as np
 from .ode import LinearODE, transfer_function
 from .poly import Polynomial, RationalFunction
 
-#: Observability verdict: not observable when sigma_min <= rtol * sigma_max.
+#: Observability verdict: observable when sigma_min / sigma_max > this.
 OBSERVABILITY_RTOL = 1e-9
 
 
@@ -80,13 +80,18 @@ def markov_parameters(ode: LinearODE, count: int) -> np.ndarray:
     return h
 
 
+def _toeplitz(h: np.ndarray) -> np.ndarray:
+    """Upper-triangular Toeplitz matrix with first row h."""
+    n = len(h)
+    M = np.zeros((n, n))
+    for i in range(n):
+        M[i, i:] = h[: n - i]
+    return M
+
+
 def markov_matrix(ode: LinearODE) -> np.ndarray:
     """Upper-triangular Toeplitz matrix with first row h_0 ... h_{n-1}."""
-    h = markov_parameters(ode, ode.n)
-    M = np.zeros((ode.n, ode.n))
-    for i in range(ode.n):
-        M[i, i:] = h[: ode.n - i]
-    return M
+    return _toeplitz(markov_parameters(ode, ode.n))
 
 
 def observable_canonical(ode: LinearODE) -> StateSpace:
@@ -128,11 +133,7 @@ def ss_markov_parameters(ss: StateSpace, count: int) -> np.ndarray:
 
 def ss_markov_matrix(ss: StateSpace) -> np.ndarray:
     """Upper-triangular Toeplitz Markov matrix computed from the matrices."""
-    h = ss_markov_parameters(ss, ss.n)
-    M = np.zeros((ss.n, ss.n))
-    for i in range(ss.n):
-        M[i, i:] = h[: ss.n - i]
-    return M
+    return _toeplitz(ss_markov_parameters(ss, ss.n))
 
 
 def observability_matrix(ss: StateSpace) -> np.ndarray:
@@ -143,6 +144,12 @@ def observability_matrix(ss: StateSpace) -> np.ndarray:
     for i in range(n - 2, -1, -1):
         O[i] = O[i + 1] @ ss.A
     return O
+
+
+def observability_ratio(O: np.ndarray) -> float:
+    """sigma_min / sigma_max of an observability matrix; 0 when it is zero."""
+    sigmas = np.linalg.svd(O, compute_uv=False)
+    return float(sigmas[-1] / sigmas[0]) if sigmas[0] > 0.0 else 0.0
 
 
 def ss_transfer_function(ss: StateSpace) -> RationalFunction:
@@ -181,12 +188,7 @@ class EquivalenceReport:
         return self.same_order and self.transfer_match and self.observable
 
 
-def check_equivalence(
-    ode: LinearODE,
-    ss: StateSpace,
-    tol: float = 1e-9,
-    obs_rtol: float = OBSERVABILITY_RTOL,
-) -> EquivalenceReport:
+def check_equivalence(ode: LinearODE, ss: StateSpace, tol: float = 1e-9) -> EquivalenceReport:
     """Same order, same transfer function, observable realization.
 
     The transfer functions are compared by cross-multiplication after the
@@ -195,13 +197,11 @@ def check_equivalence(
     """
     same_order = ss.n == ode.n
     err = ss_transfer_function(ss).max_cross_error(transfer_function(ode))
-    sigmas = np.linalg.svd(observability_matrix(ss), compute_uv=False)
-    smax = float(sigmas[0])
-    ratio = float(sigmas[-1] / smax) if smax > 0.0 else 0.0
+    ratio = observability_ratio(observability_matrix(ss))
     return EquivalenceReport(
         same_order=same_order,
         transfer_match=bool(err <= tol),
-        observable=bool(ratio > obs_rtol),
+        observable=ratio > OBSERVABILITY_RTOL,
         transfer_error=float(err),
         sigma_ratio=ratio,
     )

@@ -18,11 +18,17 @@ from .poly import (
     PartialFractionExpansion,
     Polynomial,
     RationalFunction,
+    add_coeffs,
     as_real_coeffs,
+    fmt_number,
+    signed_sum,
 )
 
 #: Rates closer than this (absolute) are treated as the same mode frequency.
 RATE_MERGE_TOL = 1e-9
+
+#: `trimmed` drops amplitudes, and zeroes real or imaginary parts, at or below this.
+TRIM_TOL = 1e-12
 
 
 class Mode(NamedTuple):
@@ -105,14 +111,21 @@ class Signal:
     def is_zero(self) -> bool:
         return not self.modes
 
-    def trimmed(self, tol: float = 1e-12) -> "Signal":
+    def trimmed(self) -> "Signal":
         """Drop modes with negligible amplitude and snap near-zero components."""
         out = []
         for amp, power, rate in self.modes:
-            if abs(amp) <= tol:
+            if abs(amp) <= TRIM_TOL:
                 continue
-            out.append((_snap(amp, tol), power, _snap(rate, tol)))
+            out.append((_snap(amp), power, _snap(rate)))
         return Signal(out)
+
+    def by_rate(self) -> dict[complex, dict[int, complex]]:
+        """Modes grouped as {rate: {power: amp}}, both levels in mode order."""
+        groups: dict[complex, dict[int, complex]] = {}
+        for amp, power, rate in self.modes:
+            groups.setdefault(rate, {})[power] = amp
+        return groups
 
     # -- structural ---------------------------------------------------------
 
@@ -211,9 +224,9 @@ def _enforce_real(merged: dict[tuple[int, complex], complex]) -> tuple[Mode, ...
     return tuple(Mode(amp, power, rate) for (power, rate), amp in ordered)
 
 
-def _snap(z: complex, tol: float) -> complex:
-    re = 0.0 if abs(z.real) <= tol else z.real
-    im = 0.0 if abs(z.imag) <= tol else z.imag
+def _snap(z: complex) -> complex:
+    re = 0.0 if abs(z.real) <= TRIM_TOL else z.real
+    im = 0.0 if abs(z.imag) <= TRIM_TOL else z.imag
     return complex(re, im)
 
 
@@ -263,9 +276,7 @@ def laplace_transform(x: Signal) -> RationalFunction:
     """
     if x.is_zero:
         return RationalFunction(Polynomial.zero(), Polynomial.one())
-    groups: dict[complex, dict[int, complex]] = {}
-    for amp, power, rate in x.modes:
-        groups.setdefault(rate, {})[power] = amp
+    groups = x.by_rate()
     dens = {}
     for rate, powers in groups.items():
         kmax = max(powers)
@@ -285,23 +296,15 @@ def laplace_transform(x: Signal) -> RationalFunction:
             term = np.array([amp * math.factorial(power)], dtype=complex)
             for _ in range(kmax - power):
                 term = np.convolve(term, [-rate, 1.0])
-            local = _add_coeffs(local, term)
+            local = add_coeffs(local, term)
         for other_rate, factor in dens.items():
             if other_rate != rate:
                 local = np.convolve(local, factor)
-        num = _add_coeffs(num, local)
+        num = add_coeffs(num, local)
     return RationalFunction(
         Polynomial(as_real_coeffs(num, what="transform numerator")),
         Polynomial(as_real_coeffs(den, what="transform denominator")),
     )
-
-
-def _add_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.astype(complex).copy()
-    out[: len(b)] += b
-    return out
 
 
 def from_partial_fractions(pfe: PartialFractionExpansion) -> Signal:
@@ -324,7 +327,7 @@ def from_partial_fractions(pfe: PartialFractionExpansion) -> Signal:
 # printing
 
 
-def format_signal(x: Signal, digits: int = 12) -> str:
+def format_signal(x: Signal) -> str:
     """Canonical human-readable form, complex pairs folded into cos/sin."""
     if x.is_zero:
         return "0"
@@ -333,33 +336,30 @@ def format_signal(x: Signal, digits: int = 12) -> str:
         if rate.imag < 0.0:
             continue  # folded into the conjugate partner
         if rate.imag == 0.0:
-            atoms.append((amp.real, _atom(power, rate.real, None, digits)))
+            atoms.append((amp.real, _atom(power, rate.real, None)))
         else:
             c, s = 2.0 * amp.real, -2.0 * amp.imag
             if c != 0.0:
-                atoms.append((c, _atom(power, rate.real, ("cos", rate.imag), digits)))
+                atoms.append((c, _atom(power, rate.real, ("cos", rate.imag))))
             if s != 0.0:
-                atoms.append((s, _atom(power, rate.real, ("sin", rate.imag), digits)))
-    parts = []
+                atoms.append((s, _atom(power, rate.real, ("sin", rate.imag))))
+    terms = []
     for coeff, body in atoms:
-        mag = f"{abs(coeff):.{digits}g}"
+        mag = fmt_number(abs(coeff))
         text = body if body and abs(coeff) == 1.0 else "*".join(p for p in (mag, body) if p)
-        if not parts:
-            parts.append(text if coeff > 0 else f"-{text}")
-        else:
-            parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
-    return " ".join(parts)
+        terms.append((coeff, text))
+    return signed_sum(terms)
 
 
-def _atom(power: int, decay: float, trig, digits: int) -> str:
+def _atom(power: int, decay: float, trig) -> str:
     pieces = []
     if power == 1:
         pieces.append("t")
     elif power > 1:
         pieces.append(f"t^{power}")
     if decay != 0.0:
-        pieces.append(f"exp({decay:.{digits}g}*t)")
+        pieces.append(f"exp({fmt_number(decay)}*t)")
     if trig is not None:
         name, freq = trig
-        pieces.append(f"{name}({freq:.{digits}g}*t)")
+        pieces.append(f"{name}({fmt_number(freq)}*t)")
     return "*".join(pieces)

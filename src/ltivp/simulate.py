@@ -54,9 +54,7 @@ def _input_generator(u: Signal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     One Jordan chain per distinct rate: the chain for rate L carries the
     functions t^k e^(Lt) / k!, so c picks mode amplitudes scaled by k!.
     """
-    groups: dict[complex, dict[int, complex]] = {}
-    for amp, power, rate in u.modes:
-        groups.setdefault(rate, {})[power] = amp
+    groups = u.by_rate()
     size = sum(max(powers) + 1 for powers in groups.values())
     J = np.zeros((size, size), dtype=complex)
     c = np.zeros(size, dtype=complex)

@@ -1,0 +1,30 @@
+"""The top-level namespace is what README documents, and README's example runs."""
+
+import re
+from pathlib import Path
+
+import ltivp
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_use_block() -> str:
+    text = README.read_text()
+    section = text.split("## Library use", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_use_runs():
+    exec(compile(library_use_block(), str(README), "exec"), {})
+
+
+def test_all_names_resolve():
+    assert len(set(ltivp.__all__)) == len(ltivp.__all__)
+    for name in ltivp.__all__:
+        assert getattr(ltivp, name) is not None, name
+
+
+def test_readme_lists_every_public_name():
+    text = README.read_text()
+    for name in ltivp.__all__:
+        assert f"`{name}`" in text or re.search(rf"\b{name}\b", library_use_block()), name
