@@ -59,15 +59,6 @@ def _env_tol() -> float:
     return tol
 
 
-def _load(args) -> ParsedProblem | None:
-    """Parse the problem file; in echo mode, re-emit it and return None."""
-    parsed = load_problem(args.file)
-    if args.echo:
-        sys.stdout.write(emit_problem(parsed))
-        return None
-    return parsed
-
-
 def _resolve_grid(args, parsed: ParsedProblem) -> np.ndarray:
     horizon = args.horizon if args.horizon is not None else parsed.problem.horizon
     if horizon is None:
@@ -89,10 +80,7 @@ def _write_csv(traj, path: str) -> None:
     print(f"wrote {len(traj.times)} rows to {path}")
 
 
-def cmd_solve(args, tol: float) -> int:
-    parsed = _load(args)
-    if parsed is None:
-        return 0
+def cmd_solve(parsed: ParsedProblem, args, tol: float) -> int:
     problem = parsed.problem
     print(f"ode: {problem.ode}")
     print(f"input (t > 0): {problem.input.future}")
@@ -100,19 +88,16 @@ def cmd_solve(args, tol: float) -> int:
         y_first, u_first = laplace.first_conditions(problem)
         print(f"Y(0+) = {_vec(y_first)}   (mapped from previous conditions)")
         print(f"U(0+) = {_vec(u_first)}")
-    solution = laplace.solution_transform(problem)
-    print(f"Y(s) = {solution.Ys}")
-    y = laplace.invert(solution.Ys).trimmed()
+    Ys = laplace.solution_transform(problem)
+    print(f"Y(s) = {Ys}")
+    y = laplace.invert(Ys).trimmed()
     print(f"y(t) = {format_signal(y)}")
     if args.csv is not None:
         _write_csv(simulate_ivp(problem, _resolve_grid(args, parsed)), args.csv)
     return 0
 
 
-def cmd_map_ic(args, tol: float) -> int:
-    parsed = _load(args)
-    if parsed is None:
-        return 0
+def cmd_map_ic(parsed: ParsedProblem, args, tol: float) -> int:
     problem = parsed.problem
     if problem.conditions.kind != "previous":
         raise ProblemFileError(
@@ -130,10 +115,7 @@ def cmd_map_ic(args, tol: float) -> int:
     return 0
 
 
-def cmd_realize(args, tol: float) -> int:
-    parsed = _load(args)
-    if parsed is None:
-        return 0
+def cmd_realize(parsed: ParsedProblem, args, tol: float) -> int:
     ode = parsed.problem.ode
     ss = observable_canonical(ode)
     print(f"ode: {ode}")
@@ -146,10 +128,7 @@ def cmd_realize(args, tol: float) -> int:
     return 0
 
 
-def cmd_check(args, tol: float) -> int:
-    parsed = _load(args)
-    if parsed is None:
-        return 0
+def cmd_check(parsed: ParsedProblem, args, tol: float) -> int:
     problem = parsed.problem
     ode = problem.ode
     ss = parsed.ssr if parsed.ssr is not None else observable_canonical(ode)
@@ -192,10 +171,7 @@ def cmd_check(args, tol: float) -> int:
     return 0
 
 
-def cmd_simulate(args, tol: float) -> int:
-    parsed = _load(args)
-    if parsed is None:
-        return 0
+def cmd_simulate(parsed: ParsedProblem, args, tol: float) -> int:
     traj = simulate_ivp(parsed.problem, _resolve_grid(args, parsed))
     if args.csv is not None:
         _write_csv(traj, args.csv)
@@ -242,7 +218,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         tol = _env_tol()
-        return args.func(args, tol)
+        parsed = load_problem(args.file)
+        if args.echo:
+            sys.stdout.write(emit_problem(parsed))
+            return 0
+        return args.func(parsed, args, tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

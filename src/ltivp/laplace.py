@@ -2,12 +2,14 @@
 
 The transform of the full response is assembled in one shot,
 
-    Y(s) = [ B(s) U(s) + v_y . Y_stack - v_u . U_stack ] / A(s),
+    Y(s) = [ B(s) U(s) + c(s) ] / A(s),
 
-where the stacks hold one-sided derivative values at t = 0.  Either side of
-the switch works: previous-condition stacks (0-) and first-condition stacks
-(0+) produce the same Y(s), so no conversion step is needed as long as the
-two stacks come from the same side.
+where c(s) is the polynomial with coefficient vector V_y Y - V_u U (lowest
+degree first): Y and U are the output and input derivative stacks at t = 0
+and V_y, V_u the stack-weight matrices of ode.ic_vectors.  Either side of
+the switch works: V_y M = V_u with M the Markov matrix, so previous-condition
+stacks (0-) and first-condition stacks (0+) produce the same Y(s), and no
+conversion step is needed as long as the two stacks come from the same side.
 """
 
 from __future__ import annotations
@@ -41,42 +43,25 @@ class IVProblem:
             raise ValueError("horizon must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class LaplaceSolution:
-    """Y(s) with its pieces kept apart for reporting.
-
-    ic_numerator is the polynomial v_y . Y_stack - v_u . U_stack; the
-    zero-state and zero-input parts add up to Ys.
-    """
-
-    Ys: RationalFunction
-    ic_numerator: Polynomial
-    zero_state_part: RationalFunction
-    zero_input_part: RationalFunction
-
-
-def assemble(ode: LinearODE, Us: RationalFunction, y_stack, u_stack) -> LaplaceSolution:
-    """Build Y(s) from the input transform and one coherent stack pair."""
+def assemble(ode: LinearODE, Us: RationalFunction, y_stack, u_stack) -> RationalFunction:
+    """Y(s) from the input transform and one coherent stack pair."""
     n = ode.n
     y_stack = np.asarray(y_stack, dtype=float).reshape(-1)
     u_stack = np.asarray(u_stack, dtype=float).reshape(-1)
     if len(y_stack) != n or len(u_stack) != n:
         raise ValueError(f"condition stacks must have length {n}")
-    v_y, v_u = ic_vectors(ode)
-    ic_num = Polynomial.zero()
-    for vy, vu, y, u in zip(v_y, v_u, y_stack, u_stack):
-        ic_num = ic_num + vy * y - vu * u
+    V_y, V_u = ic_vectors(ode)
+    # V_y Y - V_u U, one stack entry at a time (not a matrix product, which
+    # rounds differently)
+    ic_num = np.zeros(n)
+    for j in range(n):
+        ic_num += V_y[:, j] * y_stack[j]
+        ic_num -= V_u[:, j] * u_stack[j]
     G = transfer_function(ode)
     # single common denominator A(s)·den(U) keeps the degree minimal
-    Ys = RationalFunction(
-        G.num * Us.num + ic_num * Us.den,
+    return RationalFunction(
+        G.num * Us.num + Polynomial(ic_num) * Us.den,
         G.den * Us.den,
-    )
-    return LaplaceSolution(
-        Ys=Ys,
-        ic_numerator=ic_num,
-        zero_state_part=RationalFunction(G.num * Us.num, G.den * Us.den),
-        zero_input_part=RationalFunction(ic_num, G.den),
     )
 
 
@@ -108,11 +93,11 @@ def first_conditions(problem: IVProblem) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_ivp(problem: IVProblem) -> Signal:
     """Closed-form y(t) for t > 0 as an exponential-polynomial signal."""
-    return invert(solution_transform(problem).Ys).trimmed()
+    return invert(solution_transform(problem)).trimmed()
 
 
-def solution_transform(problem: IVProblem) -> LaplaceSolution:
-    """The assembled Laplace-domain solution without inverting it.
+def solution_transform(problem: IVProblem) -> RationalFunction:
+    """The assembled transform Y(s) without inverting it.
 
     Previous-form stacks are fed to assemble as-is; converting them to
     first conditions beforehand would give the same transform, and mixing

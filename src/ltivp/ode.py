@@ -3,8 +3,19 @@
     y^(n) + a_1 y^(n-1) + ... + a_n y  =  b_0 u^(n) + b_1 u^(n-1) + ... + b_n u
 
 The leading output coefficient is fixed at 1 (a_0 = 1).  Derivative stacks
-throughout the package are ordered highest derivative first, and the
-polynomial vectors returned by ic_vectors follow that same orientation.
+throughout the package are ordered highest derivative first.
+
+The conditions at t = 0 enter the transform of the equation through two
+stack-weight matrices, both upper-triangular Toeplitz:
+
+    V_y = T(1, a_1, ..., a_{n-1}),    V_u = T(b_0, ..., b_{n-1}).
+
+Column j holds the coefficients, lowest degree first, of the polynomial in s
+that weights the j-th stack entry (the (n-1-j)-th derivative), so the
+condition part of the numerator has coefficients V_y Y - V_u U.  With M the
+Markov matrix T(h_0, ..., h_{n-1}), V_y M = V_u.  Stacks obey Y = O x + M U,
+so V_y Y - V_u U = V_y O x depends on the state alone, which does not jump
+at the switch: stacks from either side give the same transform.
 """
 
 from __future__ import annotations
@@ -93,15 +104,21 @@ def transfer_function(ode: LinearODE) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def ic_vectors(ode: LinearODE) -> tuple[list[Polynomial], list[Polynomial]]:
-    """Polynomial vectors v_y, v_u weighting the derivative stacks at t = 0.
+def _toeplitz(h: np.ndarray) -> np.ndarray:
+    """Upper-triangular Toeplitz matrix with first row h."""
+    n = len(h)
+    M = np.zeros((n, n))
+    for i in range(n):
+        M[i, i:] = h[: n - i]
+    return M
 
-    Entry idx multiplies the (n-1-idx)-th derivative, so v_y[0] = 1 pairs
-    with y^(n-1)(0) and v_y[n-1] = s^(n-1) + a_1 s^(n-2) + ... + a_{n-1}
-    pairs with y(0).  The Laplace-domain numerator contribution of the
-    conditions is v_y . Y_stack - v_u . U_stack.
+
+def ic_vectors(ode: LinearODE) -> tuple[np.ndarray, np.ndarray]:
+    """The stack-weight matrices (V_y, V_u) = (T(1, a_1..a_{n-1}), T(b_0..b_{n-1})).
+
+    Column j of V_y holds the coefficients, lowest degree first, of
+    s^j + a_1 s^(j-1) + ... + a_j, which weights y^(n-1-j)(0); V_u does the
+    same with the b coefficients for the input stack.
     """
     a_full = np.concatenate(([1.0], ode.a))
-    v_y = [Polynomial(a_full[: idx + 1][::-1]) for idx in range(ode.n)]
-    v_u = [Polynomial(ode.b[: idx + 1][::-1]) for idx in range(ode.n)]
-    return v_y, v_u
+    return _toeplitz(a_full[: ode.n]), _toeplitz(ode.b[: ode.n])

@@ -57,19 +57,6 @@ class Polynomial:
     def one(cls) -> "Polynomial":
         return cls([1.0])
 
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        """The polynomial s itself."""
-        return cls([0.0, 1.0])
-
-    @classmethod
-    def from_roots(cls, roots, leading: float = 1.0) -> "Polynomial":
-        """Expand leading * prod (s - r) over a conjugate-closed root list."""
-        acc = np.array([complex(leading)])
-        for r in roots:
-            acc = np.convolve(acc, np.array([-complex(r), 1.0]))
-        return cls(as_real_coeffs(acc, what="expanded root product"))
-
     @property
     def is_zero(self) -> bool:
         return self.coeffs == (0.0,)
@@ -90,43 +77,24 @@ class Polynomial:
             return Polynomial.zero()
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __neg__(self) -> "Polynomial":
         return Polynomial([-c for c in self.coeffs])
 
-    def __add__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [0.0] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return Polynomial(out)
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return Polynomial(add_coeffs(self.coeffs, other.coeffs))
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Polynomial":
-        return self + (-_as_poly(other))
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, float)):
             return Polynomial([other * c for c in self.coeffs])
-        other = _as_poly(other)
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
         return Polynomial(np.convolve(self.coeffs, other.coeffs))
 
-    __rmul__ = __mul__
-
     def __divmod__(self, other: "Polynomial"):
         """Long division; returns (quotient, remainder)."""
-        other = _as_poly(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
@@ -162,14 +130,6 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-def _as_poly(x) -> Polynomial:
-    if isinstance(x, Polynomial):
-        return x
-    if isinstance(x, (int, float)):
-        return Polynomial([float(x)])
-    raise TypeError(f"cannot treat {type(x).__name__} as a polynomial")
-
-
 def fmt_number(x: float) -> str:
     """A coefficient as printed everywhere: 12 significant digits."""
     return f"{x:.12g}"
@@ -191,59 +151,12 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den):
-        num = _as_poly(num)
-        den = _as_poly(den)
+    def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         lead = den.coeffs[-1]
         self.num = num * (1.0 / lead)
         self.den = den * (1.0 / lead)
-
-    @property
-    def is_strictly_proper(self) -> bool:
-        return self.num.degree < self.den.degree
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __call__(self, z):
-        return self.num(z) / self.den(z)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __add__(self, other) -> "RationalFunction":
-        other = _as_rational(other)
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RationalFunction":
-        return self + (-_as_rational(other))
-
-    def __mul__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, float)):
-            return RationalFunction(self.num * other, self.den)
-        other = _as_rational(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def max_cross_error(self, other: "RationalFunction") -> float:
         """Largest coefficient of num1*den2 - num2*den1, relative to the
@@ -271,18 +184,10 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
-def _as_rational(x) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, (Polynomial, int, float)):
-        return RationalFunction(_as_poly(x), Polynomial.one())
-    raise TypeError(f"cannot treat {type(x).__name__} as a rational function")
-
-
 # ---------------------------------------------------------------------------
 # root finding
 
-#: Clustered eigenvalues closer than this relative distance are merged.
+#: Floor of the merge radius; binds only at m = 1 (the polish of a simple root).
 CLUSTER_TOL = 1e-7
 
 
@@ -446,38 +351,27 @@ class PartialFractionExpansion:
     polynomial_part: Polynomial
     terms: tuple[PartialFractionTerm, ...]
 
-    def recombine(self) -> RationalFunction:
-        """Rebuild the rational function this expansion represents."""
-        by_pole: dict[complex, int] = {}
-        for t in self.terms:
-            by_pole[t.pole] = max(by_pole.get(t.pole, 0), t.order)
-        den = np.array([1.0 + 0.0j])
-        for pole, kmax in by_pole.items():
-            for _ in range(kmax):
-                den = np.convolve(den, [-pole, 1.0])
-        num = np.zeros(max(len(den) - 1, 1), dtype=complex)
-        if not self.polynomial_part.is_zero:
-            num = add_coeffs(num, np.convolve(self.polynomial_part.coeffs, den))
-        for t in self.terms:
-            factor = np.array([t.coeff])
-            for pole, kmax in by_pole.items():
-                power = kmax - t.order if pole == t.pole else kmax
-                for _ in range(power):
-                    factor = np.convolve(factor, [-pole, 1.0])
-            num = add_coeffs(num, factor)
-        return RationalFunction(
-            Polynomial(as_real_coeffs(num, what="recombined numerator")),
-            Polynomial(as_real_coeffs(den, what="recombined denominator")),
-        )
 
-
-def add_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of two coefficient arrays of any lengths, as complex."""
+def add_coeffs(a, b) -> np.ndarray:
+    """Sum of two coefficient arrays of any lengths; complex only if either is."""
+    a, b = np.asarray(a), np.asarray(b)
     if len(a) < len(b):
         a, b = b, a
-    out = a.astype(complex).copy()
+    out = np.array(a, dtype=np.result_type(a, b))
     out[: len(b)] += b
     return out
+
+
+def root_product(roots, lead: complex = 1.0) -> np.ndarray:
+    """Coefficients of lead * prod (s - r) over the roots, lowest degree first.
+
+    Complex, one linear factor at a time in the order given; pass a root k
+    times for a factor (s - r)^k.
+    """
+    acc = np.array([complex(lead)])
+    for r in roots:
+        acc = np.convolve(acc, np.array([-complex(r), 1.0]))
+    return acc
 
 
 def _divide_linear(coeffs: np.ndarray, x0: complex) -> tuple[np.ndarray, complex]:

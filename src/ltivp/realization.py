@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import LinearODE, transfer_function
+from .ode import LinearODE, _toeplitz, transfer_function
 from .poly import Polynomial, RationalFunction
 
 #: Observability verdict: observable when sigma_min / sigma_max > this.
@@ -78,15 +78,6 @@ def markov_parameters(ode: LinearODE, count: int) -> np.ndarray:
             acc -= ode.a[i - 1] * h[j - i]
         h[j] = acc
     return h
-
-
-def _toeplitz(h: np.ndarray) -> np.ndarray:
-    """Upper-triangular Toeplitz matrix with first row h."""
-    n = len(h)
-    M = np.zeros((n, n))
-    for i in range(n):
-        M[i, i:] = h[: n - i]
-    return M
 
 
 def markov_matrix(ode: LinearODE) -> np.ndarray:

@@ -21,6 +21,7 @@ from .poly import (
     add_coeffs,
     as_real_coeffs,
     fmt_number,
+    root_product,
     signed_sum,
 )
 
@@ -251,7 +252,13 @@ class PiecewiseInput:
         return cls(signal, signal)
 
     def __call__(self, t):
-        return self.past(t) if t < 0 else self.future(t)
+        """Value at time t, the past expression where t < 0; a scalar or an ndarray."""
+        t_arr = np.asarray(t, dtype=float)
+        before = t_arr < 0
+        out = np.empty(t_arr.shape)
+        out[before] = self.past(t_arr[before])
+        out[~before] = self.future(t_arr[~before])
+        return float(out) if out.ndim == 0 else out
 
 
 def condition_stack(x: Signal, n: int) -> np.ndarray:
@@ -277,13 +284,7 @@ def laplace_transform(x: Signal) -> RationalFunction:
     if x.is_zero:
         return RationalFunction(Polynomial.zero(), Polynomial.one())
     groups = x.by_rate()
-    dens = {}
-    for rate, powers in groups.items():
-        kmax = max(powers)
-        factor = np.array([1.0 + 0.0j])
-        for _ in range(kmax + 1):
-            factor = np.convolve(factor, [-rate, 1.0])
-        dens[rate] = factor
+    dens = {rate: root_product([rate] * (max(powers) + 1)) for rate, powers in groups.items()}
     den = np.array([1.0 + 0.0j])
     for factor in dens.values():
         den = np.convolve(den, factor)
@@ -293,9 +294,7 @@ def laplace_transform(x: Signal) -> RationalFunction:
         local = np.zeros(1, dtype=complex)
         for power, amp in powers.items():
             # amp * power! * (s - rate)^(kmax - power)
-            term = np.array([amp * math.factorial(power)], dtype=complex)
-            for _ in range(kmax - power):
-                term = np.convolve(term, [-rate, 1.0])
+            term = root_product([rate] * (kmax - power), amp * math.factorial(power))
             local = add_coeffs(local, term)
         for other_rate, factor in dens.items():
             if other_rate != rate:

@@ -7,6 +7,7 @@ stays benign; exact repeats and conjugate pairs are still exercised.
 import numpy as np
 
 from ltivp import LinearODE, Signal
+from ltivp.poly import Polynomial, as_real_coeffs, root_product
 
 
 def min_separation(points) -> float:
@@ -37,6 +38,11 @@ def random_poles(rng, count, box=3.0, sep=0.2, allow_repeats=False):
             distinct = sorted(set(poles), key=lambda z: (z.real, z.imag))
             if len(distinct) < 2 or min_separation(distinct) > sep:
                 return poles
+
+
+def poly_from_roots(roots) -> Polynomial:
+    """The monic real polynomial with the given conjugate-closed roots."""
+    return Polynomial(as_real_coeffs(root_product(roots)))
 
 
 def random_ode(rng, nmax=5, box=3.0) -> LinearODE:

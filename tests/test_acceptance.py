@@ -35,9 +35,10 @@ RAMP_ODE = LinearODE([6.0, 5.0], [0.0, 1.0, 1.0])
 SWITCH_ODE = LinearODE([6.0, 5.0], [1.0, 3.0, 2.0])
 REST_ODE = LinearODE([5.0, 6.0], [0.0, 1.0, 1.0])
 
+#: G(s)/s^2 plus the condition term (-s-2)/A(s), over s^2 A(s)
 SWITCH_YS = RationalFunction(
-    Polynomial([2.0, 3.0, 1.0]), Polynomial([0.0, 0.0, 5.0, 6.0, 1.0])
-) + RationalFunction(Polynomial([-2.0, -1.0]), Polynomial([5.0, 6.0, 1.0]))
+    Polynomial([2.0, 3.0, -1.0, -1.0]), Polynomial([0.0, 0.0, 5.0, 6.0, 1.0])
+)
 
 
 def report(capfd, number: int, ok: bool, detail: str) -> None:
@@ -73,7 +74,7 @@ def test_criterion_2_condition_mapping(capfd):
     y_first = map_previous_to_first(SWITCH_ODE, [1.0, 0.0], [0.0, 1.0], [1.0, 0.0])
     map_err = float(np.max(np.abs(y_first - np.array([5.0, -1.0]))))
     Us = RationalFunction(Polynomial.one(), Polynomial([0.0, 0.0, 1.0]))
-    ys_err = assemble(SWITCH_ODE, Us, y_first, [1.0, 0.0]).Ys.max_cross_error(SWITCH_YS)
+    ys_err = assemble(SWITCH_ODE, Us, y_first, [1.0, 0.0]).max_cross_error(SWITCH_YS)
     ok = map_err <= 1e-12 and ys_err <= 1e-9
     report(
         capfd, 2, ok,
@@ -95,8 +96,8 @@ def test_criterion_3_condition_form_interchangeability(capfd):
         u_first = rng.uniform(-3, 3, n)
         Us = laplace_transform(random_signal(rng))
         y_first = map_previous_to_first(ode, y_prev, u_prev, u_first)
-        gap = assemble(ode, Us, y_prev, u_prev).Ys.max_cross_error(
-            assemble(ode, Us, y_first, u_first).Ys
+        gap = assemble(ode, Us, y_prev, u_prev).max_cross_error(
+            assemble(ode, Us, y_first, u_first)
         )
         worst = max(worst, gap)
     elapsed = time.perf_counter() - start
@@ -114,11 +115,8 @@ def test_criterion_4_stack_vector_identity(capfd):
     worst = 0.0
     for _ in range(200):
         ode = random_ode(rng, nmax=8)
-        v_y, v_u = ic_vectors(ode)
-        M = markov_matrix(ode)
-        for j in range(ode.n):
-            lhs = sum((v_y[i] * M[i, j] for i in range(ode.n)), Polynomial.zero())
-            worst = max(worst, _coeff_gap(lhs, v_u[j]))
+        V_y, V_u = ic_vectors(ode)
+        worst = max(worst, float(np.max(np.abs(V_y @ markov_matrix(ode) - V_u))))
     ok = worst <= 1e-9
     report(
         capfd, 4, ok,
@@ -131,7 +129,7 @@ def test_criterion_4_stack_vector_identity(capfd):
 def test_criterion_5_oracle_agreement(capfd):
     rng = np.random.default_rng(2028)
     grid = default_grid(3.0, 200)
-    worst = -np.inf
+    worst = 0.0
     for _ in range(100):
         ode = random_ode(rng, nmax=5)
         problem = IVProblem(
@@ -141,13 +139,13 @@ def test_criterion_5_oracle_agreement(capfd):
         )
         closed = solve_ivp(problem)(grid)
         sim = simulate_ivp(problem, grid).outputs
-        excess = np.abs(sim - closed) - (1e-8 + 1e-6 * np.abs(closed))
-        worst = max(worst, float(np.max(excess)))
-    ok = worst <= 0.0
+        ratio = np.abs(sim - closed) / (1e-8 + 1e-6 * np.abs(closed))
+        worst = max(worst, float(np.max(ratio)))
+    ok = worst <= 1.0
     report(
         capfd, 5, ok,
         f"transform route vs state-space oracle, 100 problems x 200 points, "
-        f"worst tolerance margin {worst:.2e} (must be <= 0)",
+        f"worst gap / (1e-8 + 1e-6 |y|) {worst:.2e} (must be <= 1)",
     )
     assert ok
 
@@ -267,15 +265,6 @@ def test_criterion_9_solution_satisfies_equation(capfd):
         f"worst relative residual {worst:.2e} (tol 1e-6)",
     )
     assert ok
-
-
-def _coeff_gap(p: Polynomial, q: Polynomial) -> float:
-    width = max(len(p.coeffs), len(q.coeffs), 1)
-    a = np.zeros(width)
-    b = np.zeros(width)
-    a[: len(p.coeffs)] = p.coeffs
-    b[: len(q.coeffs)] = q.coeffs
-    return float(np.max(np.abs(a - b)))
 
 
 def _ode_with_relative_degree(rng, n: int, r: int) -> LinearODE:

@@ -196,6 +196,27 @@ class TestEcho:
             assert code == 0
             assert out.startswith("{")
 
+    def test_echo_runs_no_subcommand(self, capsys):
+        # map-ic refuses first-form conditions, but echo exits before it runs
+        code, out, err = run(capsys, "map-ic", RAMP, "--echo")
+        assert code == 0 and err == ""
+        assert out == emit_problem(load_problem(RAMP))
+
+    def test_file_read_once_through_module_lookup(self, capsys, monkeypatch):
+        import ltivp.cli
+
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return load_problem(path)
+
+        monkeypatch.setattr(ltivp.cli, "load_problem", counting)
+        for extra in ((), ("--echo",)):
+            calls.clear()
+            code, _, _ = run(capsys, "realize", REST, *extra)
+            assert code == 0 and calls == [REST]
+
 
 class TestErrors:
     def test_malformed_file_names_field(self, capsys, tmp_path):

@@ -22,9 +22,10 @@ EX1 = LinearODE([6.0, 5.0], [0.0, 1.0, 1.0])
 EX2 = LinearODE([6.0, 5.0], [1.0, 3.0, 2.0])
 
 #: transform of the switch example: G(s)/s^2 plus the condition term
+#: (-s-2)/A(s), over s^2 A(s)
 SWITCH_YS = RationalFunction(
-    Polynomial([2.0, 3.0, 1.0]), Polynomial([0.0, 0.0, 5.0, 6.0, 1.0])
-) + RationalFunction(Polynomial([-2.0, -1.0]), Polynomial([5.0, 6.0, 1.0]))
+    Polynomial([2.0, 3.0, -1.0, -1.0]), Polynomial([0.0, 0.0, 5.0, 6.0, 1.0])
+)
 
 RAMP_US = RationalFunction(Polynomial.one(), Polynomial([0.0, 0.0, 1.0]))
 
@@ -45,22 +46,16 @@ def switch_problem(kind="previous"):
 
 class TestAssemble:
     def test_first_form_reproduces_known_transform(self):
-        sol = assemble(EX2, RAMP_US, [5.0, -1.0], [1.0, 0.0])
-        assert sol.Ys.max_cross_error(SWITCH_YS) <= 1e-9
+        Ys = assemble(EX2, RAMP_US, [5.0, -1.0], [1.0, 0.0])
+        assert Ys.max_cross_error(SWITCH_YS) <= 1e-9
 
     def test_previous_form_same_transform(self):
-        sol = assemble(EX2, RAMP_US, [1.0, 0.0], [0.0, 1.0])
-        assert sol.Ys.max_cross_error(SWITCH_YS) <= 1e-9
-
-    def test_parts_sum_to_whole(self):
-        sol = assemble(EX2, RAMP_US, [1.0, 0.0], [0.0, 1.0])
-        total = sol.zero_state_part + sol.zero_input_part
-        assert total.max_cross_error(sol.Ys) < 1e-10
+        Ys = assemble(EX2, RAMP_US, [1.0, 0.0], [0.0, 1.0])
+        assert Ys.max_cross_error(SWITCH_YS) <= 1e-9
 
     def test_zero_everything(self):
-        sol = assemble(EX2, laplace_transform(Signal.zero()), [0.0, 0.0], [0.0, 0.0])
-        assert sol.Ys.is_zero
-        assert sol.ic_numerator.is_zero
+        Ys = assemble(EX2, laplace_transform(Signal.zero()), [0.0, 0.0], [0.0, 0.0])
+        assert Ys.num.is_zero
 
     def test_stack_length_validation(self):
         with pytest.raises(ValueError):
@@ -160,13 +155,13 @@ class TestSolveIVP:
         rng = np.random.default_rng(608)
         for _ in range(50):
             ode = random_ode(rng, nmax=5)
-            sol = assemble(
+            Ys = assemble(
                 ode,
                 laplace_transform(random_signal(rng)),
                 rng.uniform(-2, 2, ode.n),
                 rng.uniform(-2, 2, ode.n),
             )
-            assert sol.Ys.is_strictly_proper
+            assert Ys.num.degree < Ys.den.degree
 
 
 def test_interchangeability_random():
@@ -181,8 +176,8 @@ def test_interchangeability_random():
         u_first = rng.uniform(-3, 3, n)
         Us = laplace_transform(random_signal(rng))
         y_first = map_previous_to_first(ode, y_prev, u_prev, u_first)
-        gap = assemble(ode, Us, y_prev, u_prev).Ys.max_cross_error(
-            assemble(ode, Us, y_first, u_first).Ys
+        gap = assemble(ode, Us, y_prev, u_prev).max_cross_error(
+            assemble(ode, Us, y_first, u_first)
         )
         worst = max(worst, gap)
     assert worst <= 1e-8
@@ -219,6 +214,6 @@ def _apply_side(signal, coeffs, ts):
 
 
 def test_mapped_transform_printable_pieces():
-    sol = solution_transform(switch_problem("previous"))
-    assert sol.ic_numerator == Polynomial([-2.0, -1.0])
-    assert sol.Ys.max_cross_error(SWITCH_YS) <= 1e-9
+    Ys = solution_transform(switch_problem("previous"))
+    assert (Ys.num.coeffs, Ys.den.coeffs) == ((2.0, 3.0, -1.0, -1.0), (0.0, 0.0, 5.0, 6.0, 1.0))
+    assert str(Ys) == "(-s^3 - s^2 + 3 s + 2) / (s^4 + 6 s^3 + 5 s^2)"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from ltivp.ode import LinearODE, ic_vectors, relative_degree, transfer_function
 from ltivp.poly import Polynomial, RationalFunction
@@ -42,12 +43,12 @@ class TestTransferFunction:
     def test_uncancelled_common_factor(self):
         # numerator (s+1) survives even though the denominator shares the root
         g = transfer_function(LinearODE([6, 5], [0, 1, 1]))
-        assert g.num == Polynomial([1.0, 1.0])
-        assert g.den == Polynomial([5.0, 6.0, 1.0])
+        assert g.num.coeffs == (1.0, 1.0)
+        assert g.den.coeffs == (5.0, 6.0, 1.0)
 
     def test_biproper(self):
         g = transfer_function(LinearODE([6, 5], [1, 3, 2]))
-        assert g.num == Polynomial([2.0, 3.0, 1.0])
+        assert g.num.coeffs == (2.0, 3.0, 1.0)
 
     def test_integrator(self):
         g = transfer_function(LinearODE([0.0], [0.0, 1.0]))
@@ -72,40 +73,42 @@ class TestTransferFunction:
 
 
 class TestICVectors:
+    """Column j of V_y / V_u holds the weight of stack entry j, lowest degree first."""
+
     def test_biproper_second_order(self):
-        v_y, v_u = ic_vectors(LinearODE([6, 5], [1, 3, 2]))
-        assert v_y == [Polynomial([1.0]), Polynomial([6.0, 1.0])]
-        assert v_u == [Polynomial([1.0]), Polynomial([3.0, 1.0])]
+        V_y, V_u = ic_vectors(LinearODE([6, 5], [1, 3, 2]))
+        assert_array_equal(V_y, [[1.0, 6.0], [0.0, 1.0]])
+        assert_array_equal(V_u, [[1.0, 3.0], [0.0, 1.0]])
 
     def test_first_order(self):
-        v_y, v_u = ic_vectors(LinearODE([4.0], [2.0, 7.0]))
-        assert v_y == [Polynomial.one()]
-        assert v_u == [Polynomial([2.0])]
+        V_y, V_u = ic_vectors(LinearODE([4.0], [2.0, 7.0]))
+        assert_array_equal(V_y, [[1.0]])
+        assert_array_equal(V_u, [[2.0]])
 
     def test_strictly_proper_masks_u_terms(self):
-        v_y, v_u = ic_vectors(LinearODE([5, 6], [0, 1, 1]))
-        assert v_y == [Polynomial([1.0]), Polynomial([5.0, 1.0])]
-        assert v_u == [Polynomial.zero(), Polynomial([1.0])]
+        V_y, V_u = ic_vectors(LinearODE([5, 6], [0, 1, 1]))
+        assert_array_equal(V_y, [[1.0, 5.0], [0.0, 1.0]])
+        assert_array_equal(V_u, [[0.0, 1.0], [0.0, 0.0]])
 
     def test_entry_degrees(self):
-        """Entry idx of v_y has degree idx exactly (leading coefficient 1)."""
+        """Column idx of V_y has degree idx exactly (leading coefficient 1)."""
         rng = np.random.default_rng(14)
         for _ in range(20):
             n = int(rng.integers(1, 9))
             ode = LinearODE(rng.uniform(-4, 4, n), rng.uniform(0.5, 4, n + 1))
-            v_y, _ = ic_vectors(ode)
-            for idx, poly in enumerate(v_y):
-                assert poly.degree == idx
-                assert poly.coeffs[-1] == 1.0
+            V_y, _ = ic_vectors(ode)
+            for idx in range(n):
+                assert V_y[idx, idx] == 1.0
+                assert not np.any(V_y[idx + 1 :, idx])
 
     def test_shift_recurrence(self):
         # multiplying by s and adding the next a-coefficient climbs the stack
         rng = np.random.default_rng(15)
-        s = Polynomial.variable()
         for _ in range(10):
             n = int(rng.integers(2, 7))
             a = rng.uniform(-4, 4, n)
             ode = LinearODE(a, rng.uniform(0.5, 4, n + 1))
-            v_y, _ = ic_vectors(ode)
+            V_y, _ = ic_vectors(ode)
             for idx in range(1, n):
-                assert v_y[idx] == v_y[idx - 1] * s + a[idx - 1]
+                assert_array_equal(V_y[1:, idx], V_y[:-1, idx - 1])
+                assert V_y[0, idx] == a[idx - 1]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ltivp.errors import NotStrictlyProper
 from ltivp.poly import Polynomial, RationalFunction, partial_fractions
@@ -132,7 +132,7 @@ class TestLaplaceTransform:
         assert got.max_cross_error(want) < 1e-12
 
     def test_zero(self):
-        assert laplace_transform(Signal.zero()).is_zero
+        assert laplace_transform(Signal.zero()).num.is_zero
 
     def test_mixed_rates_common_denominator(self):
         s = Signal.constant(2.0) + Signal.exponential(-3.0)
@@ -158,7 +158,7 @@ class TestInverse:
     def test_factorial_scaling(self):
         # 1/(s+1)^3 -> t^2 e^{-t} / 2
         pfe = partial_fractions(
-            RationalFunction(Polynomial.one(), Polynomial.from_roots([-1.0] * 3))
+            RationalFunction(Polynomial.one(), Polynomial([1.0, 3.0, 3.0, 1.0]))
         )
         s = from_partial_fractions(pfe)
         ts = np.linspace(0.1, 2, 13)
@@ -185,6 +185,14 @@ class TestPiecewiseInput:
         u = PiecewiseInput.smooth(Signal.ramp())
         assert u(-2.0) == -2.0
         assert u(2.0) == 2.0
+
+    def test_scalar_zero_d_and_array_times(self):
+        u = PiecewiseInput(past=Signal.cosine(1.0), future=Signal.ramp(2.0))
+        assert u(-1.0) == np.cos(-1.0) and isinstance(u(-1.0), float)
+        assert u(np.array(3.0)) == 6.0 and isinstance(u(np.array(3.0)), float)
+        ts = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
+        assert_allclose(u(ts), [np.cos(-2.0), np.cos(-0.5), 0.0, 1.0, 4.0], atol=1e-15)
+        assert_array_equal(PiecewiseInput.step()(np.array([-1.0, 1.0])), [0.0, 1.0])
 
 
 class TestFormatting:
