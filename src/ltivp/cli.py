@@ -17,6 +17,7 @@ import numpy as np
 from . import laplace
 from .errors import ProblemFileError
 from .ic import classify_continuity
+from .poly import fmt_number
 from .problemfile import ParsedProblem, emit_problem, load_problem
 from .realization import (
     check_equivalence,
@@ -32,14 +33,8 @@ DEFAULT_TOL = 1e-9
 TOL_ENV_VAR = "LTIVP_TOL"
 
 
-def _g(x: float) -> str:
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return f"{x:.12g}"
-
-
 def _vec(v) -> str:
-    return "[" + ", ".join(_g(float(x)) for x in v) + "]"
+    return "[" + ", ".join(fmt_number(float(x)) for x in v) + "]"
 
 
 def _mat(M) -> str:
@@ -103,7 +98,7 @@ def cmd_map_ic(parsed: ParsedProblem, args, tol: float) -> int:
         raise ProblemFileError(
             "map-ic requires previous-form conditions (conditions.kind = 'previous')"
         )
-    y_prev, u_prev = laplace.previous_conditions(problem)
+    y_prev, u_prev = laplace.stated_conditions(problem)
     y_first, u_first = laplace.first_conditions(problem)
     M = markov_matrix(problem.ode)
     print(f"Y(0-) = {_vec(y_prev)}")
@@ -122,7 +117,7 @@ def cmd_realize(parsed: ParsedProblem, args, tol: float) -> int:
     print(f"A = {_mat(ss.A)}")
     print(f"B = {_vec(ss.B)}")
     print(f"C = {_vec(ss.C)}")
-    print(f"D = {_g(ss.D)}")
+    print(f"D = {fmt_number(ss.D)}")
     print(f"markov parameters h_0..h_{ode.n} = {_vec(markov_parameters(ode, ode.n + 1))}")
     print(f"observability O = {_mat(observability_matrix(ss))}")
     return 0
@@ -165,7 +160,7 @@ def cmd_check(parsed: ParsedProblem, args, tol: float) -> int:
     print(f"continuity at t = 0 (r = {creport.r}, m = {creport.m}):")
     for entry in creport.entries:
         verdict = "continuous" if entry.continuous else "discontinuous"
-        print(f"  y^({entry.order}): jump {_g(entry.jump)} -> {verdict}")
+        print(f"  y^({entry.order}): jump {fmt_number(entry.jump)} -> {verdict}")
     predicted = "continuous" if creport.predicted_continuous else "discontinuous"
     print(f"predicted from the input jump alone: output stack {predicted}")
     return 0

@@ -2,8 +2,8 @@
 
 
 class NotStrictlyProper(ValueError):
-    """Raised when a rational function with a polynomial part reaches an
-    inverse-transform step.  A nonempty polynomial part corresponds to an
+    """Raised when a rational function with a polynomial part reaches
+    partial-fraction expansion.  A nonempty polynomial part corresponds to an
     impulsive time-domain component, which the signal class cannot hold."""
 
 

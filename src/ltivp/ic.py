@@ -34,36 +34,28 @@ def _stack(x, n: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConditionPair:
-    """Condition data for a problem: previous-form (0-) or first-form (0+).
+    """Output conditions stated on one side of the switch.
 
-    Exactly one of y_prev / y_first is set; the matching input stack may be
-    left None when it is derivable from the input's analytic segments.
+    kind "previous" holds Y(0-), kind "first" holds Y(0+).  The matching
+    input stack is not stored: it is always read off the input's own
+    segment on that side (past for 0-, future for 0+).
     """
 
-    y_prev: np.ndarray | None = None
-    u_prev: np.ndarray | None = None
-    u_first: np.ndarray | None = None
-    y_first: np.ndarray | None = None
+    kind: str
+    y: np.ndarray
 
     def __post_init__(self):
-        if (self.y_prev is None) == (self.y_first is None):
-            raise ValueError("exactly one of y_prev / y_first must be given")
-
-    @property
-    def kind(self) -> str:
-        return "previous" if self.y_prev is not None else "first"
+        if self.kind not in ("previous", "first"):
+            raise ValueError(f"kind must be 'previous' or 'first', got {self.kind!r}")
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=float).reshape(-1))
 
     @classmethod
-    def previous(cls, y, u=None) -> "ConditionPair":
-        y = np.asarray(y, dtype=float).reshape(-1)
-        u = None if u is None else np.asarray(u, dtype=float).reshape(-1)
-        return cls(y_prev=y, u_prev=u)
+    def previous(cls, y) -> "ConditionPair":
+        return cls("previous", y)
 
     @classmethod
-    def first(cls, y, u=None) -> "ConditionPair":
-        y = np.asarray(y, dtype=float).reshape(-1)
-        u = None if u is None else np.asarray(u, dtype=float).reshape(-1)
-        return cls(y_first=y, u_first=u)
+    def first(cls, y) -> "ConditionPair":
+        return cls("first", y)
 
 
 def map_previous_to_first(ode: LinearODE, y_prev, u_prev, u_first) -> np.ndarray:

@@ -35,16 +35,18 @@ class IVProblem:
 
     def __post_init__(self):
         n = self.ode.n
-        for name in ("y_prev", "u_prev", "u_first", "y_first"):
-            stack = getattr(self.conditions, name)
-            if stack is not None and len(stack) != n:
-                raise ValueError(f"{name} must have length {n}, got {len(stack)}")
+        if len(self.conditions.y) != n:
+            raise ValueError(f"conditions.y must have length {n}, got {len(self.conditions.y)}")
         if self.horizon is not None and not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
 
 
 def assemble(ode: LinearODE, Us: RationalFunction, y_stack, u_stack) -> RationalFunction:
-    """Y(s) from the input transform and one coherent stack pair."""
+    """Y(s) from the input transform and one coherent stack pair.
+
+    Strictly proper by construction: deg B <= n and U(s) is strictly proper,
+    so deg(B U_num) < n + deg U_den, and deg c <= n - 1.
+    """
     n = ode.n
     y_stack = np.asarray(y_stack, dtype=float).reshape(-1)
     u_stack = np.asarray(u_stack, dtype=float).reshape(-1)
@@ -66,29 +68,25 @@ def assemble(ode: LinearODE, Us: RationalFunction, y_stack, u_stack) -> Rational
 
 
 def invert(Ys: RationalFunction) -> Signal:
-    """Inverse transform via partial fractions; strictly proper input only."""
+    """Inverse transform via partial fractions; strictly proper input only
+    (anything else raises NotStrictlyProper)."""
     return from_partial_fractions(partial_fractions(Ys))
 
 
-def previous_conditions(problem: IVProblem) -> tuple[np.ndarray, np.ndarray]:
-    """(Y(0-), U(0-)) for a previous-form problem; U comes from input.past."""
+def stated_conditions(problem: IVProblem) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, U) on the side the conditions are stated: U from that input segment."""
     cond = problem.conditions
-    u_prev = cond.u_prev
-    if u_prev is None:
-        u_prev = condition_stack(problem.input.past, problem.ode.n)
-    return cond.y_prev, u_prev
+    segment = problem.input.past if cond.kind == "previous" else problem.input.future
+    return cond.y, condition_stack(segment, problem.ode.n)
 
 
 def first_conditions(problem: IVProblem) -> tuple[np.ndarray, np.ndarray]:
     """(Y(0+), U(0+)) for the problem, mapping previous conditions if needed."""
-    cond = problem.conditions
-    u_first = cond.u_first
-    if u_first is None:
-        u_first = condition_stack(problem.input.future, problem.ode.n)
-    if cond.kind == "first":
-        return cond.y_first, u_first
-    y_prev, u_prev = previous_conditions(problem)
-    return map_previous_to_first(problem.ode, y_prev, u_prev, u_first), u_first
+    y, u = stated_conditions(problem)
+    if problem.conditions.kind == "first":
+        return y, u
+    u_first = condition_stack(problem.input.future, problem.ode.n)
+    return map_previous_to_first(problem.ode, y, u, u_first), u_first
 
 
 def solve_ivp(problem: IVProblem) -> Signal:
@@ -104,8 +102,4 @@ def solution_transform(problem: IVProblem) -> RationalFunction:
     sides is the one thing that does not.
     """
     Us = laplace_transform(problem.input.future)
-    if problem.conditions.kind == "first":
-        y_stack, u_stack = first_conditions(problem)
-    else:
-        y_stack, u_stack = previous_conditions(problem)
-    return assemble(problem.ode, Us, y_stack, u_stack)
+    return assemble(problem.ode, Us, *stated_conditions(problem))

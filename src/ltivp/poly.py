@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NotStrictlyProper
+
 _EPS = float(np.finfo(float).eps)
 
 #: Largest imaginary residue, relative to 1 + max |real part|, cast away as rounding.
@@ -93,22 +95,6 @@ class Polynomial:
             return Polynomial.zero()
         return Polynomial(np.convolve(self.coeffs, other.coeffs))
 
-    def __divmod__(self, other: "Polynomial"):
-        """Long division; returns (quotient, remainder)."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Polynomial.zero(), self
-        rem = list(self.coeffs)
-        dn = list(other.coeffs)
-        lead = dn[-1]
-        q = [0.0] * (len(rem) - len(dn) + 1)
-        for k in range(len(q) - 1, -1, -1):
-            q[k] = rem[k + len(dn) - 1] / lead
-            for i, d in enumerate(dn):
-                rem[k + i] -= q[k] * d
-        return Polynomial(q), Polynomial(rem[: len(dn) - 1] or [0.0])
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -131,8 +117,9 @@ class Polynomial:
 
 
 def fmt_number(x: float) -> str:
-    """A coefficient as printed everywhere: 12 significant digits."""
-    return f"{x:.12g}"
+    """A number as printed everywhere: 12 significant digits, -0.0 as 0."""
+    # adding 0.0 turns -0.0 into a plain zero and leaves every other value as is
+    return f"{x + 0.0:.12g}"
 
 
 def signed_sum(terms) -> str:
@@ -344,14 +331,6 @@ class PartialFractionTerm:
     coeff: complex
 
 
-@dataclass(frozen=True)
-class PartialFractionExpansion:
-    """Polynomial part plus a sum of coeff/(s - pole)**order terms."""
-
-    polynomial_part: Polynomial
-    terms: tuple[PartialFractionTerm, ...]
-
-
 def add_coeffs(a, b) -> np.ndarray:
     """Sum of two coefficient arrays of any lengths; complex only if either is."""
     a, b = np.asarray(a), np.asarray(b)
@@ -396,23 +375,27 @@ def _taylor(coeffs: np.ndarray, x0: complex, count: int) -> np.ndarray:
     return out
 
 
-def partial_fractions(rf: RationalFunction) -> PartialFractionExpansion:
-    """Expand a rational function into polynomial part plus pole terms.
+def partial_fractions(rf: RationalFunction) -> tuple[PartialFractionTerm, ...]:
+    """Expand a strictly proper rational function into coeff/(s - pole)**order terms.
 
     Each pole of multiplicity m contributes terms of order 1..m whose
     coefficients come from the Taylor expansion of the deflated remainder at
-    the pole, so repeated poles need no symbolic differentiation.
+    the pole, so repeated poles need no symbolic differentiation.  Every
+    transform the package assembles is strictly proper; any other input
+    would have a polynomial part, whose time-domain counterpart is impulsive,
+    and raises NotStrictlyProper.  Coefficients at conjugate poles are
+    returned as computed; the `Signal` built from them makes them exact.
     """
     num, den = rf.num, rf.den
     if num.degree >= den.degree:
-        poly_part, num = divmod(num, den)
-    else:
-        poly_part = Polynomial.zero()
+        raise NotStrictlyProper(
+            "expansion has a polynomial part; the time-domain counterpart "
+            "is impulsive and outside the exponential-polynomial class"
+        )
     if num.is_zero:
-        return PartialFractionExpansion(poly_part, ())
-    roots = poly_roots(den)
+        return ()
     terms: list[PartialFractionTerm] = []
-    for pole, mult in roots:
+    for pole, mult in poly_roots(den):
         deflated = np.asarray(den.coeffs, dtype=complex)
         for _ in range(mult):
             deflated, _ = _divide_linear(deflated, pole)
@@ -424,27 +407,5 @@ def partial_fractions(rf: RationalFunction) -> PartialFractionExpansion:
             for i in range(1, j + 1):
                 acc -= den_t[i] * ratio[j - i]
             ratio[j] = acc / den_t[0]
-        for j in range(mult):
-            coeff = ratio[j]
-            if pole.imag == 0.0:
-                coeff = complex(coeff.real, 0.0)
-            terms.append(PartialFractionTerm(pole, mult - j, coeff))
-    terms = _pair_conjugate_coeffs(terms)
-    return PartialFractionExpansion(poly_part, tuple(terms))
-
-
-def _pair_conjugate_coeffs(
-    terms: list[PartialFractionTerm],
-) -> list[PartialFractionTerm]:
-    # Force coefficients at conjugate poles to be exact conjugates.
-    index = {(t.pole, t.order): i for i, t in enumerate(terms)}
-    out = list(terms)
-    for i, t in enumerate(terms):
-        if t.pole.imag <= 0.0:
-            continue
-        j = index.get((t.pole.conjugate(), t.order))
-        if j is not None:
-            avg = 0.5 * (t.coeff + out[j].coeff.conjugate())
-            out[i] = PartialFractionTerm(t.pole, t.order, avg)
-            out[j] = PartialFractionTerm(t.pole.conjugate(), t.order, avg.conjugate())
-    return out
+        terms.extend(PartialFractionTerm(pole, mult - j, ratio[j]) for j in range(mult))
+    return tuple(terms)

@@ -17,13 +17,14 @@ number (constant), one of the sugar strings "zero" / "step" / "ramp" /
 [{"amp": ..., "power": k, "rate": ...}] where amp and rate are numbers or
 [re, im] pairs.  "input" may also be the single string "step" for the
 Heaviside input (zero past, unit future).  horizon, grid, and ssr are
-optional; input.past may be omitted only for first-form conditions.
+optional; input.past may be omitted only for first-form conditions.  Every
+number must be finite; a bad one gets a one-line error naming its field.
 """
 
 from __future__ import annotations
 
 import json
-import sys
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -68,9 +69,9 @@ def parse_problem(data) -> ParsedProblem:
 
     horizon = data.get("horizon")
     if horizon is not None:
-        if not isinstance(horizon, Real) or not 0.0 < horizon <= sys.float_info.max:
+        horizon = _number(horizon, "horizon")
+        if not horizon > 0.0:
             raise ProblemFileError("horizon: must be a finite positive number")
-        horizon = float(horizon)
     grid_points = data.get("grid")
     if grid_points is not None:
         if not isinstance(grid_points, int) or isinstance(grid_points, bool) or grid_points < 1:
@@ -84,28 +85,38 @@ def parse_problem(data) -> ParsedProblem:
     return ParsedProblem(problem=problem, grid_points=grid_points, ssr=ssr)
 
 
-def _require(data: dict, key: str):
+def _require(data: dict, field: str):
+    """data[key] for the last component key of the dotted field name."""
+    key = field.rsplit(".", 1)[-1]
     if key not in data:
-        raise ProblemFileError(f"{key}: missing required field")
+        raise ProblemFileError(f"{field}: missing required field")
     return data[key]
+
+
+def _number(value, field: str, expected: str = "a number") -> float:
+    """A finite JSON number (not a bool) as a float, else an error naming the field."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise ProblemFileError(f"{field}: expected {expected}, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ProblemFileError(f"{field}: expected a finite number, got {x}")
+    return x
 
 
 def _number_list(value, field: str) -> list[float]:
     if not isinstance(value, list) or not value:
         raise ProblemFileError(f"{field}: expected a nonempty array of numbers")
-    out = []
-    for i, v in enumerate(value):
-        if not isinstance(v, Real) or isinstance(v, bool):
-            raise ProblemFileError(f"{field}[{i}]: expected a number, got {v!r}")
-        out.append(float(v))
-    return out
+    return [_number(v, f"{field}[{i}]") for i, v in enumerate(value)]
 
 
 def _parse_ode(data) -> LinearODE:
     if not isinstance(data, dict):
         raise ProblemFileError("ode: expected an object with fields a, b")
-    a = _number_list(_require_in(data, "ode", "a"), "ode.a")
-    b = _number_list(_require_in(data, "ode", "b"), "ode.b")
+    a = _number_list(_require(data, "ode.a"), "ode.a")
+    b = _number_list(_require(data, "ode.b"), "ode.b")
     if len(b) != len(a) + 1:
         raise ProblemFileError(
             f"ode.b: expected length {len(a) + 1} (= n+1 for n = {len(a)}), got {len(b)}"
@@ -116,21 +127,15 @@ def _parse_ode(data) -> LinearODE:
         raise ProblemFileError(f"ode: {exc}") from exc
 
 
-def _require_in(data: dict, parent: str, key: str):
-    if key not in data:
-        raise ProblemFileError(f"{parent}.{key}: missing required field")
-    return data[key]
-
-
 def _parse_conditions(data, n: int) -> ConditionPair:
     if not isinstance(data, dict):
         raise ProblemFileError("conditions: expected an object with fields kind, y")
-    kind = _require_in(data, "conditions", "kind")
+    kind = _require(data, "conditions.kind")
     if kind not in ("previous", "first"):
         raise ProblemFileError(
             f"conditions.kind: expected 'previous' or 'first', got {kind!r}"
         )
-    y = _number_list(_require_in(data, "conditions", "y"), "conditions.y")
+    y = _number_list(_require(data, "conditions.y"), "conditions.y")
     if len(y) != n:
         raise ProblemFileError(
             f"conditions.y: expected length {n} (highest derivative first), got {len(y)}"
@@ -143,9 +148,7 @@ def _parse_input(data, kind: str) -> PiecewiseInput:
         return PiecewiseInput.step()
     if not isinstance(data, dict):
         raise ProblemFileError("input: expected an object with fields past, future")
-    if "future" not in data:
-        raise ProblemFileError("input.future: missing required field")
-    future = parse_signal_spec(data["future"], "input.future")
+    future = parse_signal_spec(_require(data, "input.future"), "input.future")
     if "past" in data:
         past = parse_signal_spec(data["past"], "input.past")
     elif kind == "first":
@@ -162,17 +165,13 @@ _SUGAR_ARITY = {"zero": 0, "step": 0, "ramp": 0, "cos": 1, "sin": 1, "exp": 1}
 
 def parse_signal_spec(spec, field: str) -> Signal:
     """One signal segment: number, sugar string, or explicit mode list."""
-    if isinstance(spec, Real) and not isinstance(spec, bool):
-        return Signal.constant(float(spec))
     if isinstance(spec, str):
         return _parse_sugar(spec, field)
     if isinstance(spec, dict) and "modes" in spec:
         spec = spec["modes"]
     if isinstance(spec, list):
         return _parse_modes(spec, field)
-    raise ProblemFileError(
-        f"{field}: expected a number, a sugar string, or a mode list, got {spec!r}"
-    )
+    return Signal.constant(_number(spec, field, "a number, a sugar string, or a mode list"))
 
 
 def _parse_sugar(spec: str, field: str) -> Signal:
@@ -192,6 +191,7 @@ def _parse_sugar(spec: str, field: str) -> Signal:
             arg = float(tokens[1])
         except ValueError:
             raise ProblemFileError(f"{field}: {tokens[1]!r} is not a number") from None
+        arg = _number(arg, field)
     if name == "zero":
         return Signal.zero()
     if name == "step":
@@ -213,8 +213,8 @@ def _parse_modes(entries: list, field: str) -> Signal:
             extra = set(entry) - {"amp", "power", "rate"}
             if extra:
                 raise ProblemFileError(f"{label}: unknown fields {', '.join(sorted(extra))}")
-            amp = _complex_entry(_require_in(entry, label, "amp"), f"{label}.amp")
-            rate = _complex_entry(_require_in(entry, label, "rate"), f"{label}.rate")
+            amp = _complex_entry(_require(entry, f"{label}.amp"), f"{label}.amp")
+            rate = _complex_entry(_require(entry, f"{label}.rate"), f"{label}.rate")
             power = entry.get("power", 0)
         elif isinstance(entry, list) and len(entry) in (3, 4):
             amp = _complex_entry(entry[0], f"{label}[0]")
@@ -223,8 +223,7 @@ def _parse_modes(entries: list, field: str) -> Signal:
                 rate = _complex_entry(entry[2], f"{label}[2]")
             else:
                 rate = complex(
-                    _real_entry(entry[2], f"{label}[2]"),
-                    _real_entry(entry[3], f"{label}[3]"),
+                    _number(entry[2], f"{label}[2]"), _number(entry[3], f"{label}[3]")
                 )
         else:
             raise ProblemFileError(
@@ -239,34 +238,22 @@ def _parse_modes(entries: list, field: str) -> Signal:
         raise ProblemFileError(f"{field}: {exc}") from exc
 
 
-def _real_entry(value, field: str) -> float:
-    if not isinstance(value, Real) or isinstance(value, bool):
-        raise ProblemFileError(f"{field}: expected a number, got {value!r}")
-    return float(value)
-
-
 def _complex_entry(value, field: str) -> complex:
-    if isinstance(value, Real) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, Real) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(float(value[0]), float(value[1]))
-    raise ProblemFileError(f"{field}: expected a number or [re, im] pair, got {value!r}")
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_number(value[0], f"{field}[0]"), _number(value[1], f"{field}[1]"))
+    return complex(_number(value, field, "a number or [re, im] pair"), 0.0)
 
 
 def _parse_ssr(data) -> StateSpace:
     if not isinstance(data, dict):
         raise ProblemFileError("ssr: expected an object with fields A, B, C, D")
-    A_rows = _require_in(data, "ssr", "A")
+    A_rows = _require(data, "ssr.A")
     if not isinstance(A_rows, list) or not A_rows:
         raise ProblemFileError("ssr.A: expected a nonempty array of rows")
     A = [_number_list(row, f"ssr.A[{i}]") for i, row in enumerate(A_rows)]
-    B = _number_list(_require_in(data, "ssr", "B"), "ssr.B")
-    C = _number_list(_require_in(data, "ssr", "C"), "ssr.C")
-    D = _real_entry(_require_in(data, "ssr", "D"), "ssr.D")
+    B = _number_list(_require(data, "ssr.B"), "ssr.B")
+    C = _number_list(_require(data, "ssr.C"), "ssr.C")
+    D = _number(_require(data, "ssr.D"), "ssr.D")
     try:
         return StateSpace(A, B, C, D)
     except ValueError as exc:
@@ -282,14 +269,7 @@ def emit_problem(parsed: ParsedProblem) -> str:
             "past": _emit_signal(problem.input.past),
             "future": _emit_signal(problem.input.future),
         },
-        "conditions": {
-            "kind": problem.conditions.kind,
-            "y": (
-                problem.conditions.y_prev
-                if problem.conditions.kind == "previous"
-                else problem.conditions.y_first
-            ).tolist(),
-        },
+        "conditions": {"kind": problem.conditions.kind, "y": problem.conditions.y.tolist()},
     }
     if problem.horizon is not None:
         data["horizon"] = problem.horizon

@@ -87,11 +87,12 @@ def markov_matrix(ode: LinearODE) -> np.ndarray:
 
 def observable_canonical(ode: LinearODE) -> StateSpace:
     """Realization with the a-coefficients in the last column of A,
-    ones on the subdiagonal, C = [0 ... 0 1], and D = h_0.
+    ones on the subdiagonal, C = [0 ... 0 1], and D = b_0.
 
-    B is obtained by back-substitution on C A^(i-1) B = h_i; each row
-    C A^(i-1) has an exact leading 1 in column n-i, so no division occurs
-    and integer coefficient data yields an exact integer B.
+    B = (b_n - b_0 a_n, ..., b_1 - b_0 a_1): the transfer function is
+    b_0 + [B(s) - b_0 A(s)] / A(s), and in this form the k-th entry of B
+    is the s^k coefficient of that numerator.  Integer coefficient data
+    therefore yields an exact integer B.
     """
     n = ode.n
     A = np.zeros((n, n))
@@ -100,13 +101,8 @@ def observable_canonical(ode: LinearODE) -> StateSpace:
     A[:, n - 1] = -ode.a[::-1]
     C = np.zeros(n)
     C[n - 1] = 1.0
-    h = markov_parameters(ode, n + 1)
-    B = np.zeros(n)
-    row = C
-    for i in range(1, n + 1):
-        B[n - i] = h[i] - row[n - i + 1 :] @ B[n - i + 1 :]
-        row = row @ A
-    return StateSpace(A, B, C, h[0])
+    b0 = ode.b[0]
+    return StateSpace(A, (ode.b[1:] - b0 * ode.a)[::-1], C, b0)
 
 
 def ss_markov_parameters(ss: StateSpace, count: int) -> np.ndarray:

@@ -13,9 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotStrictlyProper
 from .poly import (
-    PartialFractionExpansion,
+    PartialFractionTerm,
     Polynomial,
     RationalFunction,
     add_coeffs,
@@ -306,19 +305,10 @@ def laplace_transform(x: Signal) -> RationalFunction:
     )
 
 
-def from_partial_fractions(pfe: PartialFractionExpansion) -> Signal:
-    """Invert an expansion term-wise: c/(s-p)^k becomes c/(k-1)! * t^(k-1) e^(pt).
-
-    A nonempty polynomial part would correspond to impulsive content, which
-    the signal class cannot represent; that raises NotStrictlyProper.
-    """
-    if not pfe.polynomial_part.is_zero:
-        raise NotStrictlyProper(
-            "expansion has a polynomial part; the time-domain counterpart "
-            "is impulsive and outside the exponential-polynomial class"
-        )
+def from_partial_fractions(terms: tuple[PartialFractionTerm, ...]) -> Signal:
+    """Invert an expansion term-wise: c/(s-p)^k becomes c/(k-1)! * t^(k-1) e^(pt)."""
     return Signal(
-        [(t.coeff / math.factorial(t.order - 1), t.order - 1, t.pole) for t in pfe.terms]
+        [(t.coeff / math.factorial(t.order - 1), t.order - 1, t.pole) for t in terms]
     )
 
 

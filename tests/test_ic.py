@@ -151,11 +151,9 @@ def _r(ode):
 
 
 class TestConditionPair:
-    def test_exactly_one_side(self):
-        with pytest.raises(ValueError):
-            ConditionPair()
-        with pytest.raises(ValueError):
-            ConditionPair(y_prev=np.zeros(2), y_first=np.zeros(2))
+    def test_kind_validated(self):
+        with pytest.raises(ValueError, match="kind must be 'previous' or 'first'"):
+            ConditionPair("both", np.zeros(2))
 
     def test_kinds(self):
         assert ConditionPair.previous([1.0, 0.0]).kind == "previous"

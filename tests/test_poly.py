@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ltivp.errors import NotStrictlyProper
 from ltivp.poly import (
     Polynomial,
     RationalFunction,
@@ -75,17 +76,6 @@ class TestPolynomial:
         p = Polynomial([5.0, 6.0, 1.0])
         assert p.derivative().coeffs == (6.0, 2.0)
         assert Polynomial([3.0]).derivative().is_zero
-
-    def test_divmod(self):
-        num = Polynomial([1.0, 0.0, 0.0, 1.0])  # s^3 + 1
-        den = Polynomial([1.0, 1.0])            # s + 1
-        q, r = divmod(num, den)
-        assert r.is_zero
-        assert q.coeffs == (1.0, -1.0, 1.0)
-
-    def test_divmod_remainder(self):
-        q, r = divmod(Polynomial([1.0, 0.0, 1.0]), Polynomial([1.0, 1.0]))
-        assert (q * Polynomial([1.0, 1.0]) + r).coeffs == (1.0, 0.0, 1.0)
 
     def test_from_roots(self):
         assert poly_from_roots([-1.0, -5.0]).coeffs == (5.0, 6.0, 1.0)
@@ -177,43 +167,35 @@ class TestRoots:
 class TestPartialFractions:
     def test_two_simple_poles(self):
         rf = RationalFunction(Polynomial.one(), poly_from_roots([-1.0, -5.0]))
-        pfe = partial_fractions(rf)
-        assert pfe.polynomial_part.is_zero
-        got = {(t.pole, t.order): t.coeff for t in pfe.terms}
+        got = {(t.pole, t.order): t.coeff for t in partial_fractions(rf)}
         assert_allclose(got[(-1.0, 1)], 0.25, atol=1e-12)
         assert_allclose(got[(-5.0, 1)], -0.25, atol=1e-12)
 
     def test_double_pole_at_zero(self):
         # (s+2)/(s^2 (s+5)) = (3/25)/s + (2/5)/s^2 - (3/25)/(s+5)
         rf = RationalFunction(Polynomial([2.0, 1.0]), Polynomial([0.0, 0.0, 5.0, 1.0]))
-        pfe = partial_fractions(rf)
-        got = {(t.pole, t.order): t.coeff for t in pfe.terms}
+        got = {(t.pole, t.order): t.coeff for t in partial_fractions(rf)}
         assert_allclose(got[(0.0, 1)], 3.0 / 25.0, atol=1e-12)
         assert_allclose(got[(0.0, 2)], 2.0 / 5.0, atol=1e-12)
         assert_allclose(got[(-5.0, 1)], -3.0 / 25.0, atol=1e-12)
 
     def test_single_term_passthrough(self):
         rf = RationalFunction(Polynomial.one(), Polynomial([0.0, 1.0]))
-        pfe = partial_fractions(rf)
-        assert pfe.polynomial_part.is_zero
-        assert len(pfe.terms) == 1
-        assert pfe.terms[0].pole == 0.0 and pfe.terms[0].order == 1
-        assert_allclose(pfe.terms[0].coeff, 1.0)
+        [term] = partial_fractions(rf)
+        assert term.pole == 0.0 and term.order == 1
+        assert_allclose(term.coeff, 1.0)
 
-    def test_improper_gets_polynomial_part(self):
-        rf = RationalFunction(Polynomial([0.0, 0.0, 1.0]), Polynomial([1.0, 1.0]))
-        pfe = partial_fractions(rf)
-        # s^2 / (s + 1) = s - 1 + 1 / (s + 1)
-        assert pfe.polynomial_part.coeffs == (-1.0, 1.0)
-        [term] = pfe.terms
-        assert (term.pole, term.order) == (-1.0, 1)
-        assert_allclose(term.coeff, 1.0, atol=1e-12)
+    def test_improper_raises(self):
+        # s^2 / (s + 1) and (s + 1) / (s + 1) have polynomial parts
+        for num in ([0.0, 0.0, 1.0], [1.0, 1.0]):
+            with pytest.raises(NotStrictlyProper, match="polynomial part"):
+                partial_fractions(RationalFunction(Polynomial(num), Polynomial([1.0, 1.0])))
 
     def test_conjugate_coefficients(self):
         rf = RationalFunction(Polynomial([1.0, 2.0]), poly_from_roots([complex(-1, 2), complex(-1, -2)]))
-        pfe = partial_fractions(rf)
-        by_pole = {t.pole: t.coeff for t in pfe.terms}
-        assert by_pole[complex(-1, 2)] == by_pole[complex(-1, -2)].conjugate()
+        signal = from_partial_fractions(partial_fractions(rf))
+        by_rate = {rate: amp for amp, _, rate in signal.modes}
+        assert by_rate[complex(-1, 2)] == by_rate[complex(-1, -2)].conjugate()
 
     def test_recombination_property(self):
         """500 random proper rational functions survive expansion, inversion and

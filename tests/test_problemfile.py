@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ltivp.cli import main
 from ltivp.errors import ProblemFileError
 from ltivp.problemfile import (
     ParsedProblem,
@@ -87,7 +88,7 @@ class TestParseProblem:
         assert_allclose(p.ode.a, [6, 5])
         assert_allclose(p.ode.b, [1, 3, 2])
         assert p.conditions.kind == "previous"
-        assert_allclose(p.conditions.y_prev, [1, 0])
+        assert_allclose(p.conditions.y, [1, 0])
         assert p.input.past == Signal.cosine(1.0)
         assert p.input.future == Signal.ramp()
         assert p.horizon == 3.0
@@ -106,7 +107,7 @@ class TestParseProblem:
         )
         parsed = parse_problem(data)
         assert parsed.problem.input.past == Signal.zero()
-        assert_allclose(parsed.problem.conditions.y_first, [5, -1])
+        assert_allclose(parsed.problem.conditions.y, [5, -1])
 
     def test_previous_form_requires_past(self):
         with pytest.raises(ProblemFileError, match="input.past"):
@@ -184,6 +185,43 @@ class TestFieldErrors:
             parse_problem(
                 base_data(ssr={"A": [[0, -5]], "B": [1, 1], "C": [0, 1], "D": 0})
             )
+
+
+NAN, INF = float("nan"), float("inf")
+SSR = {"A": [[0, -5], [1, -6]], "B": [1, 1], "C": [0, 1], "D": 0}
+
+
+# field named by the error -> problem-file overrides that put a bad number there
+NON_FINITE = {
+    "conditions.y[0]": {"conditions": {"kind": "previous", "y": [NAN, 0]}},
+    "ode.a[0]": {"ode": {"a": [INF, 5], "b": [1, 3, 2]}},
+    "ode.b[0]": {"ode": {"a": [6, 5], "b": [10**400, 3, 2]}},
+    "ode.b[1]": {"ode": {"a": [6, 5], "b": [1, -INF, 2]}},
+    "input.past": {"input": {"past": "cos nan", "future": "ramp"}},
+    "input.future": {"input": {"past": "zero", "future": "exp inf"}},
+    "input.past constant": {"input": {"past": NAN, "future": "ramp"}},
+    "input.future[0].amp": {"input": {"past": "zero", "future": [{"amp": NAN, "rate": -1}]}},
+    "input.future[0].rate[1]": {
+        "input": {"past": "zero", "future": [{"amp": 1, "rate": [0, INF]}]}
+    },
+    "input.future[0][3]": {"input": {"past": "zero", "future": [[1, 0, -1, NAN]]}},
+    "ssr.D": {"ssr": {**SSR, "D": NAN}},
+    "ssr.A[1][0]": {"ssr": {**SSR, "A": [[0, -5], [INF, -6]]}},
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_number_rejected(case, tmp_path, capsys):
+    data = base_data(**NON_FINITE[case])
+    with pytest.raises(ProblemFileError, match="finite") as info:
+        parse_problem(data)
+    field = case.split()[0]
+    assert str(info.value).startswith(f"{field}: ")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {info.value}\n"
 
 
 class TestLoadProblem:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from ltivp.errors import NotStrictlyProper
 from ltivp.poly import Polynomial, RationalFunction, partial_fractions
 from ltivp.signal import (
     PiecewiseInput,
@@ -147,13 +146,6 @@ class TestInverse:
         back = from_partial_fractions(partial_fractions(laplace_transform(s)))
         ts = np.linspace(0, 3, 60)
         assert_allclose(back(ts), s(ts), atol=1e-9)
-
-    def test_polynomial_part_raises(self):
-        pfe = partial_fractions(
-            RationalFunction(Polynomial([1.0, 1.0]), Polynomial([1.0, 1.0]))
-        )
-        with pytest.raises(NotStrictlyProper):
-            from_partial_fractions(pfe)
 
     def test_factorial_scaling(self):
         # 1/(s+1)^3 -> t^2 e^{-t} / 2
