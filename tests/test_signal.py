@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from ltivp.errors import NotStrictlyProper
 from ltivp.poly import Polynomial, RationalFunction, partial_fractions
 from ltivp.signal import (
     PiecewiseInput,
@@ -146,6 +147,12 @@ class TestInverse:
         back = from_partial_fractions(partial_fractions(laplace_transform(s)))
         ts = np.linspace(0, 3, 60)
         assert_allclose(back(ts), s(ts), atol=1e-9)
+
+    def test_polynomial_part_raises(self):
+        # (s + 1) / (s + 1) = 1 is an impulse; it never reaches from_partial_fractions
+        rf = RationalFunction(Polynomial([1.0, 1.0]), Polynomial([1.0, 1.0]))
+        with pytest.raises(NotStrictlyProper, match="polynomial part"):
+            partial_fractions(rf)
 
     def test_factorial_scaling(self):
         # 1/(s+1)^3 -> t^2 e^{-t} / 2
