@@ -135,7 +135,7 @@ def cmd_check(parsed: ParsedProblem, args, tol: float) -> int:
     print(
         f"condition 2, same transfer function: "
         f"{'yes' if report.transfer_match else 'no'} "
-        f"(cross error {report.transfer_error:.3e})"
+        f"(sampled gap {report.transfer_error:.3e})"
     )
     print(
         f"condition 3, observable: {'yes' if report.observable else 'no'} "

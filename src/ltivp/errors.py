@@ -1,4 +1,7 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the finiteness check on data
+built in Python."""
+
+import numpy as np
 
 
 class NotStrictlyProper(ValueError):
@@ -16,3 +19,11 @@ class NotObservable(ValueError):
 class ProblemFileError(ValueError):
     """Raised on malformed problem files; the message names the offending
     field."""
+
+
+def require_finite(field: str, values) -> None:
+    """Raise a one-line ValueError naming `field` unless every value is finite."""
+    arr = np.asarray(values)
+    if not np.isfinite(arr).all():
+        bad = arr[~np.isfinite(arr)].flat[0]
+        raise ValueError(f"{field}: expected finite numbers, got {bad}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotObservable
+from .errors import NotObservable, require_finite
 from .ode import LinearODE, relative_degree
 from .realization import (
     OBSERVABILITY_RTOL,
@@ -48,6 +48,7 @@ class ConditionPair:
         if self.kind not in ("previous", "first"):
             raise ValueError(f"kind must be 'previous' or 'first', got {self.kind!r}")
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float).reshape(-1))
+        require_finite("y", self.y)
 
     @classmethod
     def previous(cls, y) -> "ConditionPair":

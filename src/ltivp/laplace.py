@@ -14,10 +14,12 @@ conversion step is needed as long as the two stacks come from the same side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_finite
 from .ic import ConditionPair, map_previous_to_first
 from .ode import LinearODE, ic_vectors, transfer_function
 from .poly import Polynomial, RationalFunction, partial_fractions
@@ -37,8 +39,10 @@ class IVProblem:
         n = self.ode.n
         if len(self.conditions.y) != n:
             raise ValueError(f"conditions.y must have length {n}, got {len(self.conditions.y)}")
-        if self.horizon is not None and not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be a finite positive number")
+        for side, segment in (("past", self.input.past), ("future", self.input.future)):
+            require_finite(f"input.{side}", [z for m in segment.modes for z in (m.amp, m.rate)])
 
 
 def assemble(ode: LinearODE, Us: RationalFunction, y_stack, u_stack) -> RationalFunction:

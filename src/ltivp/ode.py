@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import require_finite
 from .poly import Polynomial, RationalFunction, fmt_number, signed_sum
 
 
@@ -41,6 +42,8 @@ class LinearODE:
             raise ValueError(
                 f"need n+1 input coefficients b_0..b_n; got {len(b)} for n = {len(a)}"
             )
+        require_finite("a", a)
+        require_finite("b", b)
         if not np.any(b):
             raise ValueError("all input coefficients are zero; the input never acts")
         self.a = a

@@ -341,50 +341,56 @@ def add_coeffs(a, b) -> np.ndarray:
     return out
 
 
-def root_product(roots, lead: complex = 1.0) -> np.ndarray:
+def root_product(roots, lead: complex = 1.0, count: int | None = None) -> np.ndarray:
     """Coefficients of lead * prod (s - r) over the roots, lowest degree first.
 
     Complex, one linear factor at a time in the order given; pass a root k
-    times for a factor (s - r)^k.
+    times for a factor (s - r)^k.  With `count`, only the lowest `count`
+    coefficients are formed (zero-padded past the degree): a coefficient
+    never depends on the ones above it, so they are those of the full
+    product.
     """
-    acc = np.array([complex(lead)])
-    for r in roots:
-        acc = np.convolve(acc, np.array([-complex(r), 1.0]))
-    return acc
+    size = len(roots) + 1 if count is None else count
+    acc = [complex(lead)] + [0j] * (size - 1)
+    for top, r in enumerate(roots, start=1):
+        r = complex(r)
+        # times (s - r), top down: acc[k] <- acc[k-1] - r acc[k]
+        for k in range(min(top, size - 1), 0, -1):
+            acc[k] = acc[k - 1] - r * acc[k]
+        acc[0] *= -r
+    return np.array(acc)
 
 
-def _divide_linear(coeffs: np.ndarray, x0: complex) -> tuple[np.ndarray, complex]:
-    """Synthetic division by (s - x0): the quotient and the remainder p(x0)."""
-    quotient = np.zeros(len(coeffs) - 1, dtype=complex)
-    acc = 0.0 + 0.0j
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc * x0 + coeffs[i]
-        quotient[i - 1] = acc
-    return quotient, acc * x0 + coeffs[0]
-
-
-def _taylor(coeffs: np.ndarray, x0: complex, count: int) -> np.ndarray:
+def _taylor(coeffs, x0: complex, count: int) -> np.ndarray:
     """First `count` Taylor coefficients of the polynomial about x0."""
-    work = np.asarray(coeffs, dtype=complex)
+    work = np.array(coeffs, dtype=complex)
     out = np.zeros(count, dtype=complex)
-    for k in range(count):
-        # each remainder is the next coefficient
-        work, out[k] = _divide_linear(work, x0)
-        if not len(work):
-            break
+    for k in range(min(count, len(work))):
+        # synthetic division by (s - x0) in place: the remainder p(x0) lands
+        # in work[0] and is the next coefficient, the quotient in work[1:]
+        acc = 0.0 + 0.0j
+        for i in range(len(work) - 1, -1, -1):
+            acc = acc * x0 + work[i]
+            work[i] = acc
+        out[k] = acc
+        work = work[1:]
     return out
 
 
 def partial_fractions(rf: RationalFunction) -> tuple[PartialFractionTerm, ...]:
     """Expand a strictly proper rational function into coeff/(s - pole)**order terms.
 
-    Each pole of multiplicity m contributes terms of order 1..m whose
-    coefficients come from the Taylor expansion of the deflated remainder at
-    the pole, so repeated poles need no symbolic differentiation.  Every
-    transform the package assembles is strictly proper; any other input
-    would have a polynomial part, whose time-domain counterpart is impulsive,
-    and raises NotStrictlyProper.  Coefficients at conjugate poles are
-    returned as computed; the `Signal` built from them makes them exact.
+    Each pole p of multiplicity m contributes terms of order 1..m whose
+    coefficients come from the Taylor expansion of num / [den / (s - p)^m]
+    at p, so repeated poles need no symbolic differentiation.  The Taylor
+    coefficients of den / (s - p)^m are those of lead * prod (sigma - (q - p))
+    in sigma = s - p over the other roots q, formed from the root differences
+    rather than by dividing den down, which loses accuracy when roots sit
+    close together.  Every transform the package assembles is strictly
+    proper; any other input would have a polynomial part, whose time-domain
+    counterpart is impulsive, and raises NotStrictlyProper.  Coefficients
+    at conjugate poles are returned as computed; the `Signal` built from
+    them makes them exact.
     """
     num, den = rf.num, rf.den
     if num.degree >= den.degree:
@@ -394,18 +400,17 @@ def partial_fractions(rf: RationalFunction) -> tuple[PartialFractionTerm, ...]:
         )
     if num.is_zero:
         return ()
+    roots = poly_roots(den)
     terms: list[PartialFractionTerm] = []
-    for pole, mult in poly_roots(den):
-        deflated = np.asarray(den.coeffs, dtype=complex)
-        for _ in range(mult):
-            deflated, _ = _divide_linear(deflated, pole)
-        num_t = _taylor(np.asarray(num.coeffs, dtype=complex), pole, mult)
-        den_t = _taylor(deflated, pole, mult)
+    for i, (pole, mult) in enumerate(roots):
+        others = [q - pole for j, (q, mq) in enumerate(roots) if j != i for _ in range(mq)]
+        den_t = root_product(others, den.coeffs[-1], mult)
+        num_t = _taylor(num.coeffs, pole, mult)
         ratio = np.zeros(mult, dtype=complex)
         for j in range(mult):
             acc = num_t[j]
-            for i in range(1, j + 1):
-                acc -= den_t[i] * ratio[j - i]
+            for k in range(1, j + 1):
+                acc -= den_t[k] * ratio[j - k]
             ratio[j] = acc / den_t[0]
         terms.extend(PartialFractionTerm(pole, mult - j, ratio[j]) for j in range(mult))
     return tuple(terms)

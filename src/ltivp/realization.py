@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ode import LinearODE, _toeplitz, transfer_function
-from .poly import Polynomial, RationalFunction
+from .errors import require_finite
+from .ode import LinearODE, _toeplitz
 
 #: Observability verdict: observable when sigma_min / sigma_max > this.
 OBSERVABILITY_RTOL = 1e-9
@@ -37,6 +37,8 @@ class StateSpace:
         n = A.shape[0]
         if n < 1 or len(B) != n or len(C) != n:
             raise ValueError("B and C must have length matching A")
+        for field, values in (("A", A), ("B", B), ("C", C), ("D", D)):
+            require_finite(field, values)
         self.A = A
         self.B = B
         self.C = C
@@ -139,27 +141,6 @@ def observability_ratio(O: np.ndarray) -> float:
     return float(sigmas[-1] / sigmas[0]) if sigmas[0] > 0.0 else 0.0
 
 
-def ss_transfer_function(ss: StateSpace) -> RationalFunction:
-    """C (sI - A)^(-1) B + D via the Leverrier-Faddeev recursion.
-
-    The denominator is the characteristic polynomial of A; the numerator
-    falls out of the same pass as C M_k B plus the D feedthrough.
-    """
-    n = ss.n
-    Mk = np.eye(n)
-    den_desc = [1.0]
-    num_desc = []
-    for k in range(1, n + 1):
-        num_desc.append(float(ss.C @ Mk @ ss.B))
-        AM = ss.A @ Mk
-        ck = -np.trace(AM) / k
-        den_desc.append(ck)
-        Mk = AM + ck * np.eye(n)
-    den = Polynomial(den_desc[::-1])
-    num = Polynomial(num_desc[::-1]) + den * ss.D
-    return RationalFunction(num, den)
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Outcome of the three-part ODE/state-space comparison."""
@@ -178,12 +159,25 @@ class EquivalenceReport:
 def check_equivalence(ode: LinearODE, ss: StateSpace, tol: float = 1e-9) -> EquivalenceReport:
     """Same order, same transfer function, observable realization.
 
-    The transfer functions are compared by cross-multiplication after the
-    monic normalization both already carry, so uncancelled common factors
-    do not cause spurious mismatches.
+    The transfer functions are compared by value: C (sI - A)^(-1) B + D
+    (one linear solve per point) against B(s)/A(s) at 2N + 2 points evenly
+    spaced on the circle |s| = 1.5 (rho + 1), where N = max(ss.n, ode.n)
+    and rho is the largest modulus of an eigenvalue of A or a root of A(s),
+    so the circle encloses both spectra.  The two differ by a rational
+    function whose numerator has degree at most 2N, so agreement at 2N + 1
+    points is agreement everywhere, and uncancelled common factors on
+    either side do not matter.  `transfer_error` is the largest
+    |G_ss - G_ode| / (1 + |G_ode|) over the points.
     """
     same_order = ss.n == ode.n
-    err = ss_transfer_function(ss).max_cross_error(transfer_function(ode))
+    a_desc = np.concatenate(([1.0], ode.a))
+    rho = max(np.max(np.abs(np.linalg.eigvals(ss.A))), np.max(np.abs(np.roots(a_desc))))
+    count = 2 * max(ss.n, ode.n) + 2
+    s = 1.5 * (rho + 1.0) * np.exp(2j * np.pi * np.arange(count) / count)
+    rhs = np.broadcast_to(ss.B[:, None], (count, ss.n, 1))
+    g_ss = np.linalg.solve(s[:, None, None] * np.eye(ss.n) - ss.A, rhs)[:, :, 0] @ ss.C + ss.D
+    g_ode = np.polyval(ode.b, s) / np.polyval(a_desc, s)
+    err = np.max(np.abs(g_ss - g_ode) / (1.0 + np.abs(g_ode)))
     ratio = observability_ratio(observability_matrix(ss))
     return EquivalenceReport(
         same_order=same_order,

@@ -14,7 +14,9 @@ from ltivp.laplace import (
 )
 from ltivp.ode import LinearODE
 from ltivp.poly import Polynomial, RationalFunction
+from ltivp.realization import StateSpace
 from ltivp.signal import PiecewiseInput, Signal, condition_stack, laplace_transform
+from ltivp.simulate import simulate_ivp
 
 from conftest import random_ode, random_signal
 
@@ -42,6 +44,39 @@ def switch_problem(kind="previous"):
         conditions=conditions,
         horizon=3.0,
     )
+
+
+def _problem_with(signal_input=None, horizon=3.0):
+    return IVProblem(
+        ode=EX2,
+        input=signal_input or PiecewiseInput(Signal.cosine(1.0), Signal.ramp()),
+        conditions=ConditionPair.previous([1.0, 0.0]),
+        horizon=horizon,
+    )
+
+
+NON_FINITE = {
+    "a": lambda: LinearODE([6.0, np.nan], [1.0, 3.0, 2.0]),
+    "b": lambda: LinearODE([6.0, 5.0], [1.0, np.inf, 2.0]),
+    # built in Python, this stack used to reach solve_ivp and come back as NaN
+    "y": lambda: ConditionPair.previous([np.nan, 0.0]),
+    "A": lambda: StateSpace([[0.0, -np.inf], [1.0, -6.0]], [1.0, 1.0], [0.0, 1.0], 0.0),
+    "B": lambda: StateSpace([[0.0, -5.0], [1.0, -6.0]], [np.nan, 1.0], [0.0, 1.0], 0.0),
+    "C": lambda: StateSpace([[0.0, -5.0], [1.0, -6.0]], [1.0, 1.0], [0.0, -np.inf], 0.0),
+    "D": lambda: StateSpace([[0.0, -5.0], [1.0, -6.0]], [1.0, 1.0], [0.0, 1.0], np.nan),
+    "horizon": lambda: _problem_with(horizon=np.inf),
+    "input.past": lambda: _problem_with(PiecewiseInput(Signal.cosine(1.0, np.nan), Signal.ramp())),
+    "input.future": lambda: _problem_with(
+        PiecewiseInput(Signal.cosine(1.0), Signal.exponential(-np.inf))
+    ),
+}
+
+
+@pytest.mark.parametrize("field", NON_FINITE)
+def test_non_finite_data_rejected(field):
+    with pytest.raises(ValueError, match=rf"^{field}[: ]") as info:
+        NON_FINITE[field]()
+    assert "\n" not in str(info.value)
 
 
 class TestAssemble:
@@ -108,6 +143,23 @@ class TestSolveIVP:
         y_prev = solve_ivp(switch_problem("previous"))
         y_first = solve_ivp(switch_problem("first"))
         assert_allclose(y_prev(ts), y_first(ts), atol=1e-10)
+
+    @pytest.mark.parametrize("n, gap", [(3, 1e-5), (4, 1e-5), (5, 1e-6)])
+    def test_near_repeated_pole_matches_state_space(self, n, gap):
+        # two poles `gap` apart: the partial-fraction coefficients must come
+        # from the root differences, or they lose most of their digits
+        rng = np.random.default_rng(5)
+        poles = list(np.linspace(-3.0, -0.5, n - 1)) + [-0.5 - gap]
+        problem = IVProblem(
+            ode=LinearODE(np.real(np.poly(poles))[1:], rng.uniform(-2.0, 2.0, n + 1)),
+            input=PiecewiseInput(Signal.cosine(1.0), Signal.ramp()),
+            conditions=ConditionPair.previous(rng.uniform(-2.0, 2.0, n)),
+            horizon=10.0,
+        )
+        ts = np.linspace(0.2, 10.0, 50)
+        closed = solve_ivp(problem)(ts)
+        sim = simulate_ivp(problem, ts).outputs
+        assert np.all(np.abs(closed - sim) <= 1e-8 + 1e-6 * np.abs(closed))
 
     def test_rest_with_zero_input(self):
         problem = IVProblem(

@@ -1,11 +1,14 @@
-"""The top-level namespace is what README documents, and README's example runs."""
+"""The top-level namespace is what README documents, README's example runs,
+and every function the benchmark's tracer wraps still exists."""
 
+import importlib
 import re
 from pathlib import Path
 
 import ltivp
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def library_use_block() -> str:
@@ -28,3 +31,13 @@ def test_readme_lists_every_public_name():
     text = README.read_text()
     for name in ltivp.__all__:
         assert f"`{name}`" in text or re.search(rf"\b{name}\b", library_use_block()), name
+
+
+def test_trace_targets_resolve():
+    # perfbench/layers.py wraps these module attributes; a renamed one would
+    # only show up as "absent" in a traced benchmark run
+    path = ROOT / "perfbench" / "layers.py"
+    layers = {"__name__": "perfbench_layers"}
+    exec(compile(path.read_text(), str(path), "exec"), layers)
+    for _, module, attr in layers["TARGETS"]:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from ltivp.ode import LinearODE, ic_vectors, transfer_function
-from ltivp.poly import Polynomial, RationalFunction
+from ltivp.ode import LinearODE, ic_vectors
 from ltivp.realization import (
     StateSpace,
     check_equivalence,
@@ -12,7 +11,6 @@ from ltivp.realization import (
     observability_matrix,
     observable_canonical,
     ss_markov_parameters,
-    ss_transfer_function,
 )
 
 from conftest import random_ode
@@ -75,37 +73,34 @@ class TestObservableCanonical:
         ss = observable_canonical(EX2)
         assert ss.D == 1.0
         assert_allclose(ss.C @ ss.B, -3.0)
-        g = ss_transfer_function(ss)
-        assert g.max_cross_error(transfer_function(EX2)) < 1e-12
+        assert check_equivalence(EX2, ss).transfer_error < 1e-12
 
     def test_transfer_round_trip_random(self):
         rng = np.random.default_rng(809)
         worst = 0.0
         for _ in range(100):
             ode = random_ode(rng, nmax=6)
-            err = ss_transfer_function(observable_canonical(ode)).max_cross_error(
-                transfer_function(ode)
-            )
+            err = check_equivalence(ode, observable_canonical(ode)).transfer_error
             worst = max(worst, err)
         assert worst <= 1e-9
 
 
 class TestSSTransferFunction:
+    """C (sI - A)^(-1) B + D against B(s)/A(s), sampled by check_equivalence."""
+
     def test_example(self):
-        g = ss_transfer_function(observable_canonical(EX1))
-        want = RationalFunction(Polynomial([1.0, 1.0]), Polynomial([5.0, 6.0, 1.0]))
-        assert g.max_cross_error(want) < 1e-12
+        # (s + 1) / (s^2 + 6 s + 5)
+        assert check_equivalence(EX1, observable_canonical(EX1)).transfer_error < 1e-12
 
     def test_scalar_system(self):
-        g = ss_transfer_function(StateSpace([[-1.0]], [1.0], [1.0], 0.0))
-        assert g.max_cross_error(
-            RationalFunction(Polynomial.one(), Polynomial([1.0, 1.0]))
-        ) < 1e-12
+        report = check_equivalence(LinearODE([1.0], [0.0, 1.0]), StateSpace([[-1.0]], [1.0], [1.0], 0.0))
+        assert report.transfer_error < 1e-12
 
     def test_zero_b_leaves_feedthrough(self):
-        g = ss_transfer_function(StateSpace([[-1.0, 0.0], [0.0, -2.0]], [0.0, 0.0], [1.0, 1.0], 3.0))
-        for z in (0.0, 1.0, 2.5):
-            assert_allclose(g.num(z) / g.den(z), 3.0, atol=1e-12)
+        # G = 3, written over A(s) = (s + 1)(s + 2) on the ODE side
+        ss = StateSpace([[-1.0, 0.0], [0.0, -2.0]], [0.0, 0.0], [1.0, 1.0], 3.0)
+        report = check_equivalence(LinearODE([3.0, 2.0], [3.0, 9.0, 6.0]), ss)
+        assert report.transfer_match and report.transfer_error < 1e-12
 
 
 class TestObservabilityMatrix:
@@ -178,6 +173,44 @@ class TestEquivalence:
         report = check_equivalence(EX1, other)
         assert report.same_order
         assert not report.transfer_match
+
+    @pytest.mark.parametrize("n", [12, 16])
+    @pytest.mark.parametrize("kind", ["even", "conjugate"])
+    def test_high_order_similar_realization_matches(self, n, kind):
+        ode = _high_order_ode(n, kind)
+        report = check_equivalence(ode, _signed_reversal(observable_canonical(ode)))
+        assert report.transfer_match, report.transfer_error
+
+    @pytest.mark.parametrize("n", [12, 16])
+    @pytest.mark.parametrize("kind", ["even", "conjugate"])
+    def test_high_order_perturbed_realization_mismatches(self, n, kind):
+        ode = _high_order_ode(n, kind)
+        ss = _signed_reversal(observable_canonical(ode))
+        B = ss.B.copy()
+        B[0] *= 1.0 + 1e-6
+        report = check_equivalence(ode, StateSpace(ss.A, B, ss.C, ss.D))
+        assert not report.transfer_match, report.transfer_error
+
+
+def _high_order_ode(n: int, kind: str) -> LinearODE:
+    """Poles on [-4, -0.5], evenly spaced or in conjugate pairs; random b."""
+    if kind == "even":
+        poles = np.linspace(-4.0, -0.5, n)
+    else:
+        re = np.linspace(-4.0, -0.5, n // 2)
+        im = np.linspace(0.5, 3.0, n // 2)
+        poles = np.concatenate([re + 1j * im, re - 1j * im])
+    b = np.random.default_rng(n).uniform(-5.0, 5.0, n + 1)
+    return LinearODE(np.real(np.poly(poles))[1:], b)
+
+
+def _signed_reversal(ss: StateSpace) -> StateSpace:
+    """The realization with its states reversed and every other one negated:
+    T^(-1) A T, T^(-1) B, C T for a signed permutation T, exact in floating point."""
+    sign = np.where(np.arange(ss.n) % 2 == 0, 1.0, -1.0)
+    return StateSpace(
+        np.outer(sign, sign) * ss.A[::-1, ::-1], sign * ss.B[::-1], sign * ss.C[::-1], ss.D
+    )
 
 
 class TestStateSpaceType:
