@@ -31,6 +31,9 @@ from .simulate import default_grid, simulate_ivp
 
 DEFAULT_TOL = 1e-9
 TOL_ENV_VAR = "LTIVP_TOL"
+#: `check` prints sampled gaps below this as 0: they are rounding noise, and
+#: their digits depend on the linear-algebra library rather than the problem.
+GAP_PRINT_FLOOR = 1e-14
 
 
 def _vec(v) -> str:
@@ -129,13 +132,14 @@ def cmd_check(parsed: ParsedProblem, args, tol: float) -> int:
     ss = parsed.ssr if parsed.ssr is not None else observable_canonical(ode)
     source = "from file" if parsed.ssr is not None else "observable canonical"
     report = check_equivalence(ode, ss, tol=tol)
+    gap = report.transfer_error if report.transfer_error >= GAP_PRINT_FLOOR else 0.0
     print(f"ode: {ode}")
     print(f"ssr: {source}, n = {ss.n}")
     print(f"condition 1, same order: {'yes' if report.same_order else 'no'}")
     print(
         f"condition 2, same transfer function: "
         f"{'yes' if report.transfer_match else 'no'} "
-        f"(sampled gap {report.transfer_error:.3e})"
+        f"(sampled gap {gap:.3e})"
     )
     print(
         f"condition 3, observable: {'yes' if report.observable else 'no'} "

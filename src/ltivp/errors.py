@@ -1,7 +1,4 @@
-"""Error types shared across the package, and the finiteness check on data
-built in Python."""
-
-import numpy as np
+"""Error types shared across the package."""
 
 
 class NotStrictlyProper(ValueError):
@@ -19,11 +16,3 @@ class NotObservable(ValueError):
 class ProblemFileError(ValueError):
     """Raised on malformed problem files; the message names the offending
     field."""
-
-
-def require_finite(field: str, values) -> None:
-    """Raise a one-line ValueError naming `field` unless every value is finite."""
-    arr = np.asarray(values)
-    if not np.isfinite(arr).all():
-        bad = arr[~np.isfinite(arr)].flat[0]
-        raise ValueError(f"{field}: expected finite numbers, got {bad}")

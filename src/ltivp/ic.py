@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotObservable, require_finite
-from .ode import LinearODE, relative_degree
+from .errors import NotObservable
+from .ode import LinearODE, relative_degree, require_finite
 from .realization import (
     OBSERVABILITY_RTOL,
     StateSpace,

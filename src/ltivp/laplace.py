@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_finite
 from .ic import ConditionPair, map_previous_to_first
-from .ode import LinearODE, ic_vectors, transfer_function
+from .ode import LinearODE, ic_vectors, require_finite, transfer_function
 from .poly import Polynomial, RationalFunction, partial_fractions
 from .signal import PiecewiseInput, Signal, condition_stack, from_partial_fractions, laplace_transform
 

@@ -22,8 +22,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import require_finite
 from .poly import Polynomial, RationalFunction, fmt_number, signed_sum
+
+
+def require_finite(field: str, values) -> None:
+    """Raise a one-line ValueError naming `field` unless every value is finite."""
+    arr = np.asarray(values)
+    if not np.isfinite(arr).all():
+        bad = arr[~np.isfinite(arr)].flat[0]
+        raise ValueError(f"{field}: expected finite numbers, got {bad}")
 
 
 class LinearODE:

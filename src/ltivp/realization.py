@@ -9,12 +9,12 @@ initial-state recovery and the jump mapping in the ic module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_finite
-from .ode import LinearODE, _toeplitz
+from .ode import LinearODE, _toeplitz, require_finite
 
 #: Observability verdict: observable when sigma_min / sigma_max > this.
 OBSERVABILITY_RTOL = 1e-9
@@ -37,12 +37,15 @@ class StateSpace:
         n = A.shape[0]
         if n < 1 or len(B) != n or len(C) != n:
             raise ValueError("B and C must have length matching A")
-        for field, values in (("A", A), ("B", B), ("C", C), ("D", D)):
-            require_finite(field, values)
+        D = float(D)
+        finite = np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(C).all()
+        if not (finite and math.isfinite(D)):
+            for field, values in (("A", A), ("B", B), ("C", C), ("D", D)):
+                require_finite(field, values)
         self.A = A
         self.B = B
         self.C = C
-        self.D = float(D)
+        self.D = D
 
     @property
     def n(self) -> int:
@@ -160,21 +163,28 @@ def check_equivalence(ode: LinearODE, ss: StateSpace, tol: float = 1e-9) -> Equi
     """Same order, same transfer function, observable realization.
 
     The transfer functions are compared by value: C (sI - A)^(-1) B + D
-    (one linear solve per point) against B(s)/A(s) at 2N + 2 points evenly
-    spaced on the circle |s| = 1.5 (rho + 1), where N = max(ss.n, ode.n)
-    and rho is the largest modulus of an eigenvalue of A or a root of A(s),
-    so the circle encloses both spectra.  The two differ by a rational
-    function whose numerator has degree at most 2N, so agreement at 2N + 1
-    points is agreement everywhere, and uncancelled common factors on
-    either side do not matter.  `transfer_error` is the largest
-    |G_ss - G_ode| / (1 + |G_ode|) over the points.
+    (one linear solve per point) against B(s)/A(s) at 2N + 2 points on each
+    of two circles, where N = max(ss.n, ode.n).  The outer circle,
+    |s| = 1.5 (rho + 1) with rho the largest modulus of an eigenvalue of A
+    or a root of A(s), encloses both spectra; there the high-order
+    coefficients dominate.  The inner one has half the smallest nonzero
+    modulus of a root of A(s) (at most 1/2) and lies inside every nonzero
+    pole, where the low-order coefficients dominate.  The points sit half a
+    step off the real axis, so a real pole is never hit.  The two sides
+    differ by a rational function whose numerator has degree at most 2N, so
+    agreement at 2N + 1 points is agreement everywhere, and uncancelled
+    common factors on either side do not matter.  `transfer_error` is the
+    largest |G_ss - G_ode| / (1 + |G_ode|) over the points.
     """
     same_order = ss.n == ode.n
     a_desc = np.concatenate(([1.0], ode.a))
-    rho = max(np.max(np.abs(np.linalg.eigvals(ss.A))), np.max(np.abs(np.roots(a_desc))))
+    moduli = np.abs(np.roots(a_desc))
+    rho = max(np.max(np.abs(np.linalg.eigvals(ss.A))), np.max(moduli))
+    inner = 0.5 * np.min(moduli[moduli > 0.0], initial=1.0)
     count = 2 * max(ss.n, ode.n) + 2
-    s = 1.5 * (rho + 1.0) * np.exp(2j * np.pi * np.arange(count) / count)
-    rhs = np.broadcast_to(ss.B[:, None], (count, ss.n, 1))
+    unit = np.exp(1j * np.pi * (2 * np.arange(count) + 1) / count)
+    s = np.concatenate((1.5 * (rho + 1.0) * unit, inner * unit))
+    rhs = np.broadcast_to(ss.B[:, None], (2 * count, ss.n, 1))
     g_ss = np.linalg.solve(s[:, None, None] * np.eye(ss.n) - ss.A, rhs)[:, :, 0] @ ss.C + ss.D
     g_ode = np.polyval(ode.b, s) / np.polyval(a_desc, s)
     err = np.max(np.abs(g_ss - g_ode) / (1.0 + np.abs(g_ode)))

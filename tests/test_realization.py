@@ -181,13 +181,19 @@ class TestEquivalence:
         report = check_equivalence(ode, _signed_reversal(observable_canonical(ode)))
         assert report.transfer_match, report.transfer_error
 
-    @pytest.mark.parametrize("n", [12, 16])
-    @pytest.mark.parametrize("kind", ["even", "conjugate"])
-    def test_high_order_perturbed_realization_mismatches(self, n, kind):
+    @pytest.mark.parametrize(
+        "n, kind",
+        [(2, "even"), (2, "conjugate"), (5, "even"), (12, "even"), (12, "conjugate"),
+         (16, "even"), (16, "conjugate")],
+    )
+    @pytest.mark.parametrize("entry", [0, -1])
+    def test_high_order_perturbed_realization_mismatches(self, n, kind, entry):
+        # after the reversal B[0] is the s^(n-1) numerator coefficient and
+        # B[-1] the s^0 one, which shows only near the smallest poles
         ode = _high_order_ode(n, kind)
         ss = _signed_reversal(observable_canonical(ode))
         B = ss.B.copy()
-        B[0] *= 1.0 + 1e-6
+        B[entry] *= 1.0 + 1e-6
         report = check_equivalence(ode, StateSpace(ss.A, B, ss.C, ss.D))
         assert not report.transfer_match, report.transfer_error
 
