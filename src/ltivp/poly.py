@@ -3,7 +3,8 @@
 Coefficients are stored lowest degree first.  Rational functions keep their
 denominator monic so that coefficient comparisons are meaningful.  Root
 finding goes through the companion matrix; clustered eigenvalues are merged
-into multiple roots and polished before partial fraction expansion.
+into multiple roots, each taken as the mean of its cluster, before partial
+fraction expansion.
 """
 
 from __future__ import annotations
@@ -66,18 +67,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return -1 if self.is_zero else len(self.coeffs) - 1
-
-    def __call__(self, z):
-        """Horner evaluation; accepts real or complex scalars."""
-        acc = 0.0 if not isinstance(z, complex) else 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        if self.degree < 1:
-            return Polynomial.zero()
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def __neg__(self) -> "Polynomial":
         return Polynomial([-c for c in self.coeffs])
@@ -174,14 +163,11 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 # root finding
 
-#: Floor of the merge radius; binds only at m = 1 (the polish of a simple root).
-CLUSTER_TOL = 1e-7
-
 
 def _merge_radius(m: int) -> float:
     # Companion-matrix eigenvalues of a multiplicity-m root scatter like
     # eps**(1/m), so the merge radius must grow with the candidate size.
-    return max(CLUSTER_TOL, (1e3 * _EPS) ** (1.0 / m))
+    return (1e3 * _EPS) ** (1.0 / m)
 
 
 def _cluster(roots: np.ndarray) -> list[list[complex]]:
@@ -191,10 +177,12 @@ def _cluster(roots: np.ndarray) -> list[list[complex]]:
     so each candidate multiplicity gets its own radius: working from the
     largest plausible multiplicity downward, connected components (single
     linkage among group centroids) holding at least m eigenvalues merge into
-    one group.  Genuinely distinct roots merge only within the m = 2 radius
-    of each other; roots packed more tightly than the radius for their count
-    are indistinguishable from a true multiple root in double precision and
-    are treated as one.
+    one group, provided their diameter is at most twice the radius (relative
+    to 1 + their largest modulus), since single linkage alone chains evenly
+    spaced distinct roots.  Genuinely distinct roots merge only within the
+    m = 2 radius of each other; roots packed more tightly than the radius for
+    their count are indistinguishable from a true multiple root in double
+    precision and are treated as one.
     """
     groups: list[list[complex]] = [[complex(r)] for r in roots]
     groups.sort(key=lambda g: (g[0].real, g[0].imag))
@@ -202,7 +190,12 @@ def _cluster(roots: np.ndarray) -> list[list[complex]]:
         radius = _merge_radius(m)
         while True:
             comps = _link_components(groups, radius)
-            merge = [len(c) > 1 and sum(len(groups[i]) for i in c) >= m for c in comps]
+            merge = [
+                len(c) > 1
+                and sum(len(groups[i]) for i in c) >= m
+                and _compact([z for i in c for z in groups[i]], radius)
+                for c in comps
+            ]
             if not any(merge):
                 break
             new_groups: list[list[complex]] = []
@@ -213,6 +206,12 @@ def _cluster(roots: np.ndarray) -> list[list[complex]]:
                     new_groups.extend(groups[i] for i in comp)
             groups = new_groups
     return groups
+
+
+def _compact(points: list[complex], radius: float) -> bool:
+    z = np.array(points)
+    diameter = np.abs(z[:, None] - z[None, :]).max()
+    return diameter <= 2.0 * radius * (1.0 + np.abs(z).max())
 
 
 def _link_components(groups: list[list[complex]], radius: float) -> list[list[int]]:
@@ -242,33 +241,6 @@ def _link_components(groups: list[list[complex]], radius: float) -> list[list[in
 
 def _centroid(group: list[complex]) -> complex:
     return sum(group) / len(group)
-
-
-def _polish_root(p: Polynomial, center: complex, mult: int) -> complex:
-    # A multiplicity-m root of p is a simple root of the (m-1)-th derivative,
-    # where plain Newton iteration is well conditioned.
-    q = p
-    for _ in range(mult - 1):
-        q = q.derivative()
-    dq = q.derivative()
-    x = center
-    for _ in range(30):
-        df = dq(x)
-        if df == 0:
-            break
-        step = q(x) / df
-        x_new = x - step
-        if not np.isfinite(x_new.real) or not np.isfinite(x_new.imag):
-            break
-        if abs(x_new - x) <= 1e-15 * (1.0 + abs(x_new)):
-            x = x_new
-            break
-        x = x_new
-    # Reject a polish that wandered off to a different root of q.
-    scale = 1.0 + max(abs(center), abs(x))
-    if abs(x - center) > 2.0 * _merge_radius(mult) * scale:
-        return center
-    return x
 
 
 def _symmetrize_conjugates(pairs: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
@@ -304,9 +276,10 @@ def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
 
     Roots come from the eigenvalues of the companion matrix.  Eigenvalues
     that agree to within the (multiplicity-aware) cluster radius are merged
-    into a single root whose multiplicity is the cluster size, then refined
-    by Newton iteration on the appropriate derivative.  Multiplicities sum
-    to the degree, and the returned set is closed under conjugation.
+    into a single root whose multiplicity is the cluster size.  The root is
+    the mean of the cluster, which rounding disturbs far less than any one
+    of its eigenvalues, so no refinement follows.  Multiplicities sum to the
+    degree, and the returned set is closed under conjugation.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
@@ -314,7 +287,7 @@ def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
         return []
     raw = np.roots(np.asarray(p.coeffs[::-1], dtype=float))
     groups = _cluster(raw)
-    pairs = [(_polish_root(p, _centroid(g), len(g)), len(g)) for g in groups]
+    pairs = [(_centroid(g), len(g)) for g in groups]
     return _symmetrize_conjugates(pairs)
 
 

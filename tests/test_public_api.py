@@ -41,3 +41,14 @@ def test_trace_targets_resolve():
     exec(compile(path.read_text(), str(path), "exec"), layers)
     for _, module, attr in layers["TARGETS"]:
         assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+def test_readme_constants_match_the_code():
+    # Tolerances names each threshold as `module.NAME` = value
+    named = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)`(?:\s*=\s*([-+.\deE]+))?", README.read_text())
+    assert named
+    for module, name, value in named:
+        actual = getattr(importlib.import_module(f"ltivp.{module}"), name, None)
+        assert actual is not None, f"{module}.{name}"
+        if value:
+            assert actual == float(value), f"{module}.{name} = {actual}, README says {value}"
