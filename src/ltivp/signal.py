@@ -3,10 +3,17 @@
 The class is closed under differentiation and has rational Laplace
 transforms, which is exactly what the closed-form solution pipeline needs.
 Modes come in conjugate pairs so every signal is real-valued on the reals.
+
+Evaluation on an array of times is done in real arithmetic, one distinct
+rate at a time: the powers of a rate are summed by Horner's rule, and a
+conjugate pair re +- iw costs one exp, one cos and one sin over the array
+(a real rate one exp, a constant or polynomial none).  A single time is
+summed mode by mode with `cmath`, in mode order.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -90,13 +97,42 @@ class Signal:
     # -- evaluation and calculus -------------------------------------------
 
     def __call__(self, t):
-        """Value at time t; accepts a scalar or an ndarray."""
+        """Value at time t: a float for a scalar or 0-d t, else an array shaped like t.
+
+        A scalar sums the modes in mode order with `cmath`, the cheapest
+        route for the few values `condition_stack` takes.  An array is
+        taken rate by rate, one conjugate pair at a time: P(t) = sum of
+        amp_k t^k by Horner's rule on the real and imaginary parts of the
+        amplitudes, then 2 (Re P cos(wt) - Im P sin(wt)) e^(re t) for a rate
+        re + iw with w > 0, or P(t) e^(re t) for a real rate, with no
+        exponential when re = 0.
+        """
         t_arr = np.asarray(t, dtype=float)
-        acc = np.zeros(t_arr.shape, dtype=complex)
-        for amp, power, rate in self.modes:
-            acc += amp * t_arr**power * np.exp(rate * t_arr)
-        out = acc.real
-        return float(out) if np.isscalar(t) or out.ndim == 0 else out
+        if t_arr.ndim == 0:
+            x = float(t_arr)
+            acc = 0j
+            try:
+                for amp, power, rate in self.modes:
+                    acc += amp * x**power * cmath.exp(rate * x)
+            except OverflowError:  # Python raises where numpy rounds to inf
+                return float(self(t_arr.reshape(1))[0])
+            return acc.real
+        out = np.zeros(t_arr.shape)
+        for rate, powers in self.by_rate().items():
+            if rate.imag < 0.0:
+                continue  # the conjugate partner carries the pair
+            amps = [powers.get(k, 0j) for k in range(max(powers) + 1)]
+            re_part = _horner([a.real for a in amps], t_arr)
+            if rate.imag == 0.0:
+                term = re_part
+            else:
+                im_part = _horner([a.imag for a in amps], t_arr)
+                wt = rate.imag * t_arr
+                term = 2.0 * (re_part * np.cos(wt) - im_part * np.sin(wt))
+            if rate.real != 0.0:
+                term = term * np.exp(rate.real * t_arr)
+            out += term
+        return out
 
     def derivative(self) -> "Signal":
         """Term-wise derivative: d/dt[t^k e^(rt)] = k t^(k-1) e^(rt) + r t^k e^(rt)."""
@@ -222,6 +258,14 @@ def _enforce_real(merged: dict[tuple[int, complex], complex]) -> tuple[Mode, ...
         key=lambda kv: (-abs(kv[0][1].real), kv[0][1].real, kv[0][1].imag, kv[0][0]),
     )
     return tuple(Mode(amp, power, rate) for (power, rate), amp in ordered)
+
+
+def _horner(coeffs: list[float], t: np.ndarray):
+    """sum of coeffs[k] * t**k by Horner's rule; the bare constant when there is one coefficient."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * t + c
+    return acc
 
 
 def _snap(z: complex) -> complex:

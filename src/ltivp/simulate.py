@@ -12,7 +12,8 @@ S = expm(aug h).  The samples are then filled by doubling: with the first m
 samples known, the next m are S^m times them, and S is squared, so a grid of
 N points takes ceil(log2 N) block products and no per-sample Python work.
 Any other grid is stepped sample by sample, one `expm` per step.  Either
-way the input is evaluated once, on the whole grid, for the D u feedthrough.
+way the input is evaluated on the whole grid only when D != 0, for the D u
+feedthrough.
 
 scipy is imported on the first simulation, not with the package: nothing
 else needs it.
@@ -135,7 +136,9 @@ def simulate(ss: StateSpace, x0, input: Signal, grid) -> Trajectory:
     aug[n:, n:] = J
 
     states = _plant_states(aug, np.concatenate([x0.astype(complex), z0]), grid, n)
-    outputs = states @ ss.C + ss.D * input(grid)
+    outputs = states @ ss.C
+    if ss.D != 0.0:
+        outputs += ss.D * input(grid)
     return Trajectory(times=grid, states=states, outputs=outputs)
 
 

@@ -74,6 +74,90 @@ class TestEvaluation:
         assert (s - s).is_zero
 
 
+def mode_sum(x: Signal, t):
+    """Reference evaluation: the per-mode complex sum, in mode order."""
+    t_arr = np.asarray(t, dtype=float)
+    acc = np.zeros(t_arr.shape, dtype=complex)
+    for amp, power, rate in x.modes:
+        acc += amp * t_arr**power * np.exp(rate * t_arr)
+    return acc.real
+
+
+def mode_sum_bound(x: Signal, t):
+    """8 eps sum |amp| |t|^power e^(Re(rate) t), pointwise."""
+    t_arr = np.asarray(t, dtype=float)
+    total = np.zeros(t_arr.shape)
+    for amp, power, rate in x.modes:
+        total += abs(amp) * np.abs(t_arr) ** power * np.exp(rate.real * t_arr)
+    return 8.0 * np.finfo(float).eps * total
+
+
+def mixed_signal(rng) -> Signal:
+    """Modes at real, zero, complex and purely imaginary rates, powers 0-4,
+    several powers per rate and some (power, rate) pairs drawn twice."""
+    rates = [
+        complex(rng.uniform(-2.0, 2.0), 0.0),
+        0j,
+        complex(rng.uniform(-2.0, 2.0), rng.uniform(0.1, 6.0)),
+        complex(0.0, rng.uniform(0.1, 6.0)),
+    ]
+    modes = []
+    for rate in rng.permutation(rates)[: rng.integers(1, 5)]:
+        for power in rng.integers(0, 5, rng.integers(1, 5)):
+            if rate.imag == 0.0:
+                modes.append((rng.uniform(-2.0, 2.0), int(power), rate))
+            else:
+                amp = complex(*rng.uniform(-2.0, 2.0, 2))
+                modes += [(amp, int(power), rate), (amp.conjugate(), int(power), rate.conjugate())]
+    return Signal(modes)
+
+
+class TestEvaluationAgainstModeSum:
+    def test_arrays_within_bound(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            x = mixed_signal(rng)
+            for t in (
+                np.linspace(-3.0, 3.0, 61),
+                rng.uniform(-3.0, 3.0, (4, 7)),
+                np.array([0.0, -0.0]),
+            ):
+                got = x(t)
+                assert got.shape == t.shape
+                assert np.all(np.abs(got - mode_sum(x, t)) <= mode_sum_bound(x, t))
+
+    def test_scalars_within_bound(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(200):
+            x = mixed_signal(rng)
+            for t in (0.0, float(rng.uniform(-3.0, 3.0)), np.float64(rng.uniform(-3.0, 3.0))):
+                for arg in (t, np.array(t)):
+                    got = x(arg)
+                    assert type(got) is float
+                    assert abs(got - mode_sum(x, t)) <= mode_sum_bound(x, t)
+
+    def test_scalar_overflow_gives_inf_as_arrays_do(self):
+        with np.errstate(over="ignore"):
+            assert Signal.exponential(1.0)(1000.0) == np.inf
+            assert Signal([(1.0, 3, 0.0)])(np.array(1e200)) == np.inf
+
+    def test_empty_grid_and_zero_signal(self):
+        assert Signal.cosine(1.0)(np.zeros(0)).shape == (0,)
+        assert_array_equal(Signal.zero()(np.ones((2, 3))), np.zeros((2, 3)))
+
+    def test_condition_stack_bit_identical(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            x = mixed_signal(rng)
+            n = int(rng.integers(1, 7))
+            derivs = [x]
+            for _ in range(n - 1):
+                derivs.append(derivs[-1].derivative())
+            want = np.array([mode_sum(d, 0.0) for d in reversed(derivs)])
+            got = condition_stack(x, n)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestDerivative:
     def test_polynomial_chain(self):
         # d/dt (t^2 e^{-t}) = 2 t e^{-t} - t^2 e^{-t}

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
 from ltivp.ic import ConditionPair
@@ -132,10 +132,22 @@ class TestUniformGrid:
     def test_input_evaluated_once_and_two_exponentials(self, monkeypatch):
         u_calls = _count_calls(monkeypatch, Signal, "__call__")
         expm_calls = _count_calls(monkeypatch, scipy.linalg, "expm")
-        ss = observable_canonical(EX1)
+        ss = observable_canonical(LinearODE([6.0, 5.0], [2.0, 1.0, 1.0]))
+        assert ss.D == 2.0
         simulate(ss, [0.5, -0.5], Signal.cosine(2.0) + Signal.ramp(), default_grid(3.0, 1000))
         assert len(u_calls) == 1
         assert len(expm_calls) <= 2
+
+    def test_input_not_evaluated_without_feedthrough(self, monkeypatch):
+        u = Signal.cosine(2.0) + Signal.ramp()
+        ss = observable_canonical(EX1)
+        assert ss.D == 0.0
+        grid = default_grid(3.0, 1000)
+        u_calls = _count_calls(monkeypatch, Signal, "__call__")
+        traj = simulate(ss, [0.5, -0.5], u, grid)
+        assert not u_calls
+        # equal as floats to the output with the zero feedthrough added
+        assert_array_equal(traj.outputs, traj.states @ ss.C + ss.D * u(grid))
 
 
 class TestDefaultGrid:
