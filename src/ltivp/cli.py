@@ -2,7 +2,8 @@
 
 Subcommands: solve, map-ic, realize, check, simulate.  All take a problem
 file (JSON, see problemfile).  Equality thresholds used by `check` default
-to 1e-9 and can be overridden with the LTIVP_TOL environment variable.
+to 1e-9 and can be overridden with the LTIVP_TOL environment variable, which
+no other subcommand reads.
 Output is deterministic: the same file always prints the same bytes.
 """
 
@@ -78,7 +79,7 @@ def _write_csv(traj, path: str) -> None:
     print(f"wrote {len(traj.times)} rows to {path}")
 
 
-def cmd_solve(parsed: ParsedProblem, args, tol: float) -> int:
+def cmd_solve(parsed: ParsedProblem, args) -> int:
     problem = parsed.problem
     print(f"ode: {problem.ode}")
     print(f"input (t > 0): {problem.input.future}")
@@ -95,7 +96,7 @@ def cmd_solve(parsed: ParsedProblem, args, tol: float) -> int:
     return 0
 
 
-def cmd_map_ic(parsed: ParsedProblem, args, tol: float) -> int:
+def cmd_map_ic(parsed: ParsedProblem, args) -> int:
     problem = parsed.problem
     if problem.conditions.kind != "previous":
         raise ProblemFileError(
@@ -113,7 +114,7 @@ def cmd_map_ic(parsed: ParsedProblem, args, tol: float) -> int:
     return 0
 
 
-def cmd_realize(parsed: ParsedProblem, args, tol: float) -> int:
+def cmd_realize(parsed: ParsedProblem, args) -> int:
     ode = parsed.problem.ode
     ss = observable_canonical(ode)
     print(f"ode: {ode}")
@@ -126,7 +127,8 @@ def cmd_realize(parsed: ParsedProblem, args, tol: float) -> int:
     return 0
 
 
-def cmd_check(parsed: ParsedProblem, args, tol: float) -> int:
+def cmd_check(parsed: ParsedProblem, args) -> int:
+    tol = _env_tol()
     problem = parsed.problem
     ode = problem.ode
     ss = parsed.ssr if parsed.ssr is not None else observable_canonical(ode)
@@ -170,7 +172,7 @@ def cmd_check(parsed: ParsedProblem, args, tol: float) -> int:
     return 0
 
 
-def cmd_simulate(parsed: ParsedProblem, args, tol: float) -> int:
+def cmd_simulate(parsed: ParsedProblem, args) -> int:
     traj = simulate_ivp(parsed.problem, _resolve_grid(args, parsed))
     if args.csv is not None:
         _write_csv(traj, args.csv)
@@ -216,12 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        tol = _env_tol()
         parsed = load_problem(args.file)
         if args.echo:
             sys.stdout.write(emit_problem(parsed))
             return 0
-        return args.func(parsed, args, tol)
+        return args.func(parsed, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,7 +4,10 @@ Coefficients are stored lowest degree first.  Rational functions keep their
 denominator monic so that coefficient comparisons are meaningful.  Root
 finding goes through the companion matrix; clustered eigenvalues are merged
 into multiple roots, each taken as the mean of its cluster, before partial
-fraction expansion.
+fraction expansion.  The roots are closed under conjugation exactly, by
+construction and with no tolerance: the real eigensolver returns complex
+eigenvalues as exact conjugate pairs, and each mean is summed in an order
+that conjugation preserves.
 """
 
 from __future__ import annotations
@@ -185,7 +188,6 @@ def _cluster(roots: np.ndarray) -> list[list[complex]]:
     precision and are treated as one.
     """
     groups: list[list[complex]] = [[complex(r)] for r in roots]
-    groups.sort(key=lambda g: (g[0].real, g[0].imag))
     for m in range(len(groups), 1, -1):
         radius = _merge_radius(m)
         while True:
@@ -235,40 +237,17 @@ def _link_components(groups: list[list[complex]], radius: float) -> list[list[in
                     seen[j] = True
                     comp.append(j)
                     frontier.append(j)
-        comps.append(sorted(comp))
+        comps.append(comp)
     return comps
 
 
 def _centroid(group: list[complex]) -> complex:
-    return sum(group) / len(group)
-
-
-def _symmetrize_conjugates(pairs: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
-    out: list[tuple[complex, int]] = []
-    used = [False] * len(pairs)
-    for i, (r, m) in enumerate(pairs):
-        if used[i]:
-            continue
-        used[i] = True
-        if abs(r.imag) <= 1e-9 * (1.0 + abs(r)):
-            out.append((complex(r.real, 0.0), m))
-            continue
-        partner = None
-        for j in range(len(pairs)):
-            if used[j] or pairs[j][1] != m:
-                continue
-            if abs(pairs[j][0] - r.conjugate()) <= 1e-6 * (1.0 + abs(r)):
-                partner = j
-                break
-        if partner is None:
-            out.append((r, m))
-            continue
-        used[partner] = True
-        avg = 0.5 * (r + pairs[partner][0].conjugate())
-        out.append((avg, m))
-        out.append((avg.conjugate(), m))
-    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    return out
+    if len(group) == 1:
+        return group[0]
+    # Summed in (re, |im|, im) order, which conjugation preserves: a cluster
+    # and its mirror image get bit-exact conjugate means, and a cluster that
+    # is its own mirror image an exactly real one.
+    return sum(sorted(group, key=lambda z: (z.real, abs(z.imag), z.imag))) / len(group)
 
 
 def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
@@ -279,16 +258,17 @@ def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
     into a single root whose multiplicity is the cluster size.  The root is
     the mean of the cluster, which rounding disturbs far less than any one
     of its eigenvalues, so no refinement follows.  Multiplicities sum to the
-    degree, and the returned set is closed under conjugation.
+    degree, and the pairs come sorted by (real, imag) part.  The set is
+    closed under conjugation exactly, with no tolerance (see `_centroid`),
+    and a root that is its own conjugate is exactly real.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
     if p.degree == 0:
         return []
     raw = np.roots(np.asarray(p.coeffs[::-1], dtype=float))
-    groups = _cluster(raw)
-    pairs = [(_centroid(g), len(g)) for g in groups]
-    return _symmetrize_conjugates(pairs)
+    pairs = [(_centroid(g), len(g)) for g in _cluster(raw)]
+    return sorted(pairs, key=lambda rm: (rm[0].real, rm[0].imag))
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,8 @@ class Signal:
             raise ValueError("mode powers must be nonnegative")
         rates = _canonical_rates([rate for _, _, rate in entries])
         merged: dict[tuple[int, complex], complex] = {}
-        for amp, power, rate in entries:
-            key = (power, _lookup_rate(rates, rate))
-            merged[key] = merged.get(key, 0.0 + 0.0j) + amp
+        for (amp, power, _), rate in zip(entries, rates):
+            merged[(power, rate)] = merged.get((power, rate), 0.0 + 0.0j) + amp
         self.modes = _enforce_real(merged)
 
     # -- constructors -------------------------------------------------------
@@ -197,37 +196,30 @@ class Signal:
 
 
 def _canonical_rates(rates: list[complex]) -> list[complex]:
+    """The canonical rate of each rate, in input order: a rate within
+    RATE_MERGE_TOL of an earlier entry shares its slot, then near-real
+    entries snap to real and conjugate pairs of entries are made exact."""
     registry: list[complex] = []
+    slots: list[int] = []
     for r in rates:
-        if not any(abs(r - e) <= RATE_MERGE_TOL for e in registry):
+        slot = next(
+            (i for i, e in enumerate(registry) if abs(r - e) <= RATE_MERGE_TOL), len(registry)
+        )
+        if slot == len(registry):
             registry.append(r)
-    # snap near-real rates, then make conjugate pairs exact
+        slots.append(slot)
     registry = [complex(r.real, 0.0) if abs(r.imag) <= RATE_MERGE_TOL else r for r in registry]
-    out: list[complex] = []
     used = [False] * len(registry)
     for i, r in enumerate(registry):
-        if used[i]:
-            continue
-        used[i] = True
-        if r.imag == 0.0:
-            out.append(r)
+        if used[i] or r.imag == 0.0:
             continue
         for j in range(i + 1, len(registry)):
             if not used[j] and abs(registry[j] - r.conjugate()) <= 2 * RATE_MERGE_TOL:
                 used[j] = True
                 avg = 0.5 * (r + registry[j].conjugate())
-                out.extend([avg, avg.conjugate()])
+                registry[i], registry[j] = avg, avg.conjugate()
                 break
-        else:
-            out.append(r)
-    return out
-
-
-def _lookup_rate(registry: list[complex], rate: complex) -> complex:
-    best = min(registry, key=lambda e: abs(e - rate))
-    if abs(best - rate) > 3 * RATE_MERGE_TOL:
-        raise AssertionError("rate registry lookup failed")
-    return best
+    return [registry[slot] for slot in slots]
 
 
 def _enforce_real(merged: dict[tuple[int, complex], complex]) -> tuple[Mode, ...]:
@@ -327,22 +319,16 @@ def laplace_transform(x: Signal) -> RationalFunction:
     if x.is_zero:
         return RationalFunction(Polynomial.zero(), Polynomial.one())
     groups = x.by_rate()
-    dens = {rate: root_product([rate] * (max(powers) + 1)) for rate, powers in groups.items()}
-    den = np.array([1.0 + 0.0j])
-    for factor in dens.values():
-        den = np.convolve(den, factor)
+    roots = [rate for rate, powers in groups.items() for _ in range(max(powers) + 1)]
     num = np.zeros(1, dtype=complex)
     for rate, powers in groups.items():
+        others = [r for r in roots if r != rate]
         kmax = max(powers)
-        local = np.zeros(1, dtype=complex)
         for power, amp in powers.items():
-            # amp * power! * (s - rate)^(kmax - power)
-            term = root_product([rate] * (kmax - power), amp * math.factorial(power))
-            local = add_coeffs(local, term)
-        for other_rate, factor in dens.items():
-            if other_rate != rate:
-                local = np.convolve(local, factor)
-        num = add_coeffs(num, local)
+            # amp * power! * (s - rate)^(kmax - power) * the other rates' factors
+            term = root_product(others + [rate] * (kmax - power), amp * math.factorial(power))
+            num = add_coeffs(num, term)
+    den = root_product(roots)
     return RationalFunction(
         Polynomial(as_real_coeffs(num, what="transform numerator")),
         Polynomial(as_real_coeffs(den, what="transform denominator")),

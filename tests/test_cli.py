@@ -143,6 +143,13 @@ class TestCheck:
         assert code == 1
         assert "LTIVP_TOL" in err
 
+    @pytest.mark.parametrize("command", ["solve", "map-ic", "realize"])
+    def test_tolerance_env_read_only_by_check(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("LTIVP_TOL", "banana")
+        code, out, err = run(capsys, command, SWITCH)
+        assert code == 0 and err == ""
+        assert out == Path(f"tests/golden/input_switch.{command}.out").read_text()
+
 
 class TestSimulate:
     def test_stdout_csv(self, capsys):

@@ -1,7 +1,10 @@
+from collections import Counter
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ltivp.errors import NotStrictlyProper
@@ -15,6 +18,29 @@ from ltivp.poly import (
 from ltivp.signal import from_partial_fractions, laplace_transform
 
 from conftest import poly_from_roots, random_poles
+
+
+def _first_sites(sites, max_degree=16):
+    """The roots of the sites, skipping any site that would pass max_degree."""
+    roots = []
+    for site in sites:
+        if len(roots) + len(site) <= max_degree:
+            roots += site
+    return roots
+
+
+_real_site = st.builds(lambda x, m: [x] * m, st.floats(-3, 3), st.integers(1, 4))
+_pair_site = st.builds(
+    lambda re, im, m: [complex(re, im), complex(re, -im)] * m,
+    st.floats(-3, 3),
+    st.floats(0, 3, exclude_min=True),
+    st.integers(1, 4),
+)
+#: Conjugate-closed root multisets: real roots and conjugate pairs, each of
+#: multiplicity 1-4, degree at most 16.
+conjugate_closed_roots = st.lists(st.one_of(_real_site, _pair_site), min_size=1).map(
+    _first_sites
+)
 
 
 def coeff_gap(p, q):
@@ -145,6 +171,19 @@ class TestRoots:
         [lower, upper] = [r for r, _ in roots if r.imag != 0.0]
         assert lower == upper.conjugate()
         assert abs(upper - complex(-1, 2)) <= 1e-12
+
+    @settings(derandomize=True, deadline=None)
+    @given(conjugate_closed_roots)
+    def test_conjugate_closure_is_exact(self, true_roots):
+        p = poly_from_roots(true_roots)
+        roots = poly_roots(p)
+        # close roots may merge, so only the total multiplicity is pinned
+        assert sum(m for _, m in roots) == p.degree
+        assert Counter(roots) == Counter((r.conjugate(), m) for r, m in roots)
+        for root, _ in roots:
+            # a root its own conjugate up to rounding is exactly real
+            if abs(root.imag) <= 16 * np.finfo(float).eps * (1.0 + abs(root)):
+                assert root.imag == 0.0, roots
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
