@@ -53,8 +53,8 @@ def _env_tol() -> float:
         tol = float(raw)
     except ValueError:
         raise ProblemFileError(f"{TOL_ENV_VAR}={raw!r} is not a number") from None
-    if not tol > 0.0:
-        raise ProblemFileError(f"{TOL_ENV_VAR} must be positive, got {raw}")
+    if not 0.0 < tol < np.inf:
+        raise ProblemFileError(f"{TOL_ENV_VAR} must be a finite positive number, got {raw}")
     return tol
 
 

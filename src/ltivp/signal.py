@@ -4,16 +4,14 @@ The class is closed under differentiation and has rational Laplace
 transforms, which is exactly what the closed-form solution pipeline needs.
 Modes come in conjugate pairs so every signal is real-valued on the reals.
 
-Evaluation on an array of times is done in real arithmetic, one distinct
-rate at a time: the powers of a rate are summed by Horner's rule, and a
-conjugate pair re +- iw costs one exp, one cos and one sin over the array
-(a real rate one exp, a constant or polynomial none).  A single time is
-summed mode by mode with `cmath`, in mode order.
+Evaluation is done in real arithmetic, one distinct rate at a time: the
+powers of a rate are summed by Horner's rule, and a conjugate pair re +- iw
+costs one exp, one cos and one sin over the times (a real rate one exp, a
+constant or polynomial none).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -98,24 +96,13 @@ class Signal:
     def __call__(self, t):
         """Value at time t: a float for a scalar or 0-d t, else an array shaped like t.
 
-        A scalar sums the modes in mode order with `cmath`, the cheapest
-        route for the few values `condition_stack` takes.  An array is
-        taken rate by rate, one conjugate pair at a time: P(t) = sum of
-        amp_k t^k by Horner's rule on the real and imaginary parts of the
-        amplitudes, then 2 (Re P cos(wt) - Im P sin(wt)) e^(re t) for a rate
-        re + iw with w > 0, or P(t) e^(re t) for a real rate, with no
-        exponential when re = 0.
+        Scalars and arrays take one path, rate by rate, one conjugate pair
+        at a time: P(t) = sum of amp_k t^k by Horner's rule on the real and
+        imaginary parts of the amplitudes, then 2 (Re P cos(wt) - Im P
+        sin(wt)) e^(re t) for a rate re + iw with w > 0, or P(t) e^(re t)
+        for a real rate, with no exponential when re = 0.
         """
         t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            x = float(t_arr)
-            acc = 0j
-            try:
-                for amp, power, rate in self.modes:
-                    acc += amp * x**power * cmath.exp(rate * x)
-            except OverflowError:  # Python raises where numpy rounds to inf
-                return float(self(t_arr.reshape(1))[0])
-            return acc.real
         out = np.zeros(t_arr.shape)
         for rate, powers in self.by_rate().items():
             if rate.imag < 0.0:
@@ -131,7 +118,7 @@ class Signal:
             if rate.real != 0.0:
                 term = term * np.exp(rate.real * t_arr)
             out += term
-        return out
+        return float(out) if out.ndim == 0 else out
 
     def derivative(self) -> "Signal":
         """Term-wise derivative: d/dt[t^k e^(rt)] = k t^(k-1) e^(rt) + r t^k e^(rt)."""
@@ -300,14 +287,20 @@ def condition_stack(x: Signal, n: int) -> np.ndarray:
     """Derivative stack [x^(n-1)(0), ..., x'(0), x(0)], highest first.
 
     Values are taken on the analytic extension at t = 0, which is how the
-    one-sided limits of a piecewise input's segments are computed.
+    one-sided limits of a piecewise input's segments are computed.  The j-th
+    derivative of amp t^p e^(rt) at 0 is amp j!/(j-p)! r^(j-p) for j >= p
+    and 0 below, so entry n-1-j sums the real parts of those terms over the
+    modes, with the exact integer j!/(j-p)! and r^(j-p) as a running product.
     """
     if n < 1:
         raise ValueError("stack length must be at least 1")
-    derivs = [x]
-    for _ in range(n - 1):
-        derivs.append(derivs[-1].derivative())
-    return np.array([derivs[k](0.0) for k in range(n - 1, -1, -1)])
+    stack = [0.0] * n
+    for amp, power, rate in x.modes:
+        rate_power = 1.0 + 0.0j
+        for j in range(power, n):
+            stack[n - 1 - j] += (amp * math.perm(j, power) * rate_power).real
+            rate_power *= rate
+    return np.array(stack)
 
 
 def laplace_transform(x: Signal) -> RationalFunction:

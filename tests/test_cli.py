@@ -137,8 +137,9 @@ class TestCheck:
         _, out, _ = run(capsys, "check", REST)
         assert "  y^(1): jump 1 -> continuous" in out
 
-    def test_bad_tolerance_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("LTIVP_TOL", "banana")
+    @pytest.mark.parametrize("raw", ["banana", "inf", "1e400", "nan", "0", "-1"])
+    def test_bad_tolerance_env(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("LTIVP_TOL", raw)
         code, _, err = run(capsys, "check", REST)
         assert code == 1
         assert "LTIVP_TOL" in err

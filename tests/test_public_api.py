@@ -6,6 +6,8 @@ import re
 from pathlib import Path
 
 import ltivp
+from ltivp.problemfile import load_problem
+from ltivp.simulate import default_grid
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -33,14 +35,47 @@ def test_readme_lists_every_public_name():
         assert f"`{name}`" in text or re.search(rf"\b{name}\b", library_use_block()), name
 
 
-def test_trace_targets_resolve():
-    # perfbench/layers.py wraps these module attributes; a renamed one would
-    # only show up as "absent" in a traced benchmark run
+def load_layers() -> dict:
+    """The namespace of perfbench/layers.py, the benchmark's tracer."""
     path = ROOT / "perfbench" / "layers.py"
     layers = {"__name__": "perfbench_layers"}
     exec(compile(path.read_text(), str(path), "exec"), layers)
-    for _, module, attr in layers["TARGETS"]:
+    return layers
+
+
+def test_trace_targets_resolve():
+    # perfbench/layers.py wraps these module attributes; a renamed one would
+    # only show up as "absent" in a traced benchmark run
+    for _, module, attr in load_layers()["TARGETS"]:
         assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+def test_traced_run_records_every_layer():
+    # each per-layer metric of a traced benchmark run is read from these
+    # spans; a layer reached other than through its wrapped name would read null.
+    # The file has previous-form conditions and b_0 != 0, so every layer runs.
+    import scipy.linalg
+
+    layers = load_layers()
+    expm = scipy.linalg.expm
+    parsed = load_problem(ROOT / "problems" / "input_switch.json")
+    grid = default_grid(parsed.problem.horizon)
+    tracer = layers["Tracer"]()
+    tracer.wrap_expm_before_import()
+    try:
+        tracer.attach()
+        tracer.enable(True)
+        y = ltivp.solve_ivp(parsed.problem)
+        tracer.span("signal.Signal.eval_grid", y, grid)
+        ltivp.simulate_ivp(parsed.problem, grid)
+    finally:
+        tracer.enable(False)
+    assert scipy.linalg.expm is expm
+    assert tracer.absent == []
+    for name in [name for name, _, _ in layers["TARGETS"]] + [layers["EXPM"]]:
+        assert tracer.named(name), name
+    steps = tracer.named("simulate.simulate")
+    assert any(s[layers["SIG_CALLS"]] > 0 for s in steps)
 
 
 def test_readme_constants_match_the_code():

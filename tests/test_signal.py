@@ -145,17 +145,37 @@ class TestEvaluationAgainstModeSum:
         assert Signal.cosine(1.0)(np.zeros(0)).shape == (0,)
         assert_array_equal(Signal.zero()(np.ones((2, 3))), np.zeros((2, 3)))
 
-    def test_condition_stack_bit_identical(self):
+    def test_condition_stack_within_bound_of_derivative_chain(self):
+        # oracle: the chain of derivative Signals, each summed at 0 mode by mode;
+        # bound: 8 eps sum |amp| j!/(j-p)! |r|^(j-p) over the modes, entry by entry
         rng = np.random.default_rng(2026)
+        eps = np.finfo(float).eps
         for _ in range(300):
             x = mixed_signal(rng)
-            n = int(rng.integers(1, 7))
+            n = int(rng.integers(1, 17))
             derivs = [x]
             for _ in range(n - 1):
                 derivs.append(derivs[-1].derivative())
             want = np.array([mode_sum(d, 0.0) for d in reversed(derivs)])
+            scale = np.zeros(n)
+            for amp, power, rate in x.modes:
+                for j in range(power, n):
+                    scale[n - 1 - j] += abs(amp) * math.perm(j, power) * abs(rate) ** (j - power)
             got = condition_stack(x, n)
-            assert got.tobytes() == want.tobytes()
+            assert np.all(np.abs(got - want) <= 8.0 * eps * scale)
+
+    def test_condition_stack_builds_no_signal(self, monkeypatch):
+        built = []
+        init = Signal.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        x = mixed_signal(np.random.default_rng(7))
+        monkeypatch.setattr(Signal, "__init__", counting_init)
+        condition_stack(x, 8)
+        assert built == []
 
 
 class TestDerivative:
