@@ -74,8 +74,11 @@ def _resolve_grid(args, parsed: ParsedProblem) -> np.ndarray:
 
 def _write_csv(traj, path: str) -> None:
     text = traj.csv_text()
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
     print(f"wrote {len(traj.times)} rows to {path}")
 
 

@@ -7,7 +7,9 @@ into multiple roots, each taken as the mean of its cluster, before partial
 fraction expansion.  The roots are closed under conjugation exactly, by
 construction and with no tolerance: the real eigensolver returns complex
 eigenvalues as exact conjugate pairs, and each mean is summed in an order
-that conjugation preserves.
+that conjugation preserves.  So the poles of an expansion pair up by exact
+key, and `signal.from_partial_fractions` makes the closed form exactly
+real from them; nothing here casts a complex result to real by tolerance.
 """
 
 from __future__ import annotations
@@ -19,24 +21,6 @@ import numpy as np
 from .errors import NotStrictlyProper
 
 _EPS = float(np.finfo(float).eps)
-
-#: Largest imaginary residue, relative to 1 + max |real part|, cast away as rounding.
-REAL_RESIDUE_TOL = 1e-6
-
-
-def as_real_coeffs(values, what: str = "coefficients") -> np.ndarray:
-    """Cast a complex coefficient array to real, checking the imaginary residue.
-
-    Conjugate-closed constructions leave only rounding noise in the imaginary
-    parts; anything larger indicates a non-real input and raises ValueError.
-    """
-    arr = np.asarray(values, dtype=complex)
-    scale = 1.0 + (np.max(np.abs(arr.real)) if arr.size else 0.0)
-    resid = np.max(np.abs(arr.imag)) if arr.size else 0.0
-    if resid > REAL_RESIDUE_TOL * scale:
-        raise ValueError(f"{what} are not real: imaginary residue {resid:g}")
-    return arr.real.copy()
-
 
 class Polynomial:
     """Real-coefficient polynomial, coefficients lowest degree first.
@@ -342,8 +326,9 @@ def partial_fractions(rf: RationalFunction) -> tuple[PartialFractionTerm, ...]:
     close together.  Every transform the package assembles is strictly
     proper; any other input would have a polynomial part, whose time-domain
     counterpart is impulsive, and raises NotStrictlyProper.  Coefficients
-    at conjugate poles are returned as computed; the `Signal` built from
-    them makes them exact.
+    at conjugate poles are returned as computed, which is conjugate only up
+    to rounding; `signal.from_partial_fractions` pairs them by exact pole
+    and makes them exactly conjugate.
     """
     num, den = rf.num, rf.den
     if num.degree >= den.degree:

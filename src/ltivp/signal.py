@@ -2,7 +2,9 @@
 
 The class is closed under differentiation and has rational Laplace
 transforms, which is exactly what the closed-form solution pipeline needs.
-Modes come in conjugate pairs so every signal is real-valued on the reals.
+Modes come in exactly conjugate pairs, so every signal is real-valued on
+the reals; `Signal` checks this with no tolerance, and the closed form
+meets it by construction (`from_partial_fractions`).
 
 Evaluation is done in real arithmetic, one distinct rate at a time: the
 powers of a rate are summed by Horner's rule, and a conjugate pair re +- iw
@@ -23,14 +25,10 @@ from .poly import (
     Polynomial,
     RationalFunction,
     add_coeffs,
-    as_real_coeffs,
     fmt_number,
     root_product,
     signed_sum,
 )
-
-#: Rates closer than this (absolute) are treated as the same mode frequency.
-RATE_MERGE_TOL = 1e-9
 
 #: `trimmed` drops amplitudes, and zeroes real or imaginary parts, at or below this.
 TRIM_TOL = 1e-12
@@ -45,25 +43,30 @@ class Mode(NamedTuple):
 class Signal:
     """Finite sum of modes amp * t**power * exp(rate*t), conjugate-closed.
 
-    Modes are canonicalized on construction: rates within RATE_MERGE_TOL are
-    unified, amplitudes of coinciding (power, rate) pairs are merged, and
-    conjugate pairs are made exact.  Construction raises ValueError when the
-    mode set cannot represent a real-valued signal.
+    Modes are canonicalized on construction: amplitudes of identical
+    (power, rate) pairs are summed, zero sums are dropped, and the modes are
+    sorted.  The signal must be real-valued on the reals, and that is
+    checked exactly, with no tolerance: a mode at a real rate needs a real
+    amplitude, and a mode at a complex rate needs the mode at the conjugate
+    rate with the same power and the conjugate amplitude.  Rates and
+    amplitudes are never snapped or averaged; anything else raises
+    ValueError.  NaN compares as no mismatch, so that non-finite data
+    reaches the checks that can name its field.
     """
 
     __slots__ = ("modes",)
 
     def __init__(self, modes=()):
-        entries = [
-            (complex(amp), int(power), complex(rate)) for amp, power, rate in modes
-        ]
-        if any(power < 0 for _, power, _ in entries):
-            raise ValueError("mode powers must be nonnegative")
-        rates = _canonical_rates([rate for _, _, rate in entries])
         merged: dict[tuple[int, complex], complex] = {}
-        for (amp, power, _), rate in zip(entries, rates):
-            merged[(power, rate)] = merged.get((power, rate), 0.0 + 0.0j) + amp
-        self.modes = _enforce_real(merged)
+        for amp, power, rate in modes:
+            if power < 0 or power != int(power):
+                raise ValueError("mode powers must be nonnegative integers")
+            rate = complex(rate)
+            if rate.imag == 0.0:
+                rate = complex(rate.real, 0.0)  # one key and one repr for +0j and -0j
+            key = (int(power), rate)
+            merged[key] = merged.get(key, 0.0 + 0.0j) + complex(amp)
+        self.modes = _real_modes(merged)
 
     # -- constructors -------------------------------------------------------
 
@@ -182,56 +185,25 @@ class Signal:
         return f"Signal({[tuple(m) for m in self.modes]!r})"
 
 
-def _canonical_rates(rates: list[complex]) -> list[complex]:
-    """The canonical rate of each rate, in input order: a rate within
-    RATE_MERGE_TOL of an earlier entry shares its slot, then near-real
-    entries snap to real and conjugate pairs of entries are made exact."""
-    registry: list[complex] = []
-    slots: list[int] = []
-    for r in rates:
-        slot = next(
-            (i for i, e in enumerate(registry) if abs(r - e) <= RATE_MERGE_TOL), len(registry)
-        )
-        if slot == len(registry):
-            registry.append(r)
-        slots.append(slot)
-    registry = [complex(r.real, 0.0) if abs(r.imag) <= RATE_MERGE_TOL else r for r in registry]
-    used = [False] * len(registry)
-    for i, r in enumerate(registry):
-        if used[i] or r.imag == 0.0:
-            continue
-        for j in range(i + 1, len(registry)):
-            if not used[j] and abs(registry[j] - r.conjugate()) <= 2 * RATE_MERGE_TOL:
-                used[j] = True
-                avg = 0.5 * (r + registry[j].conjugate())
-                registry[i], registry[j] = avg, avg.conjugate()
-                break
-    return [registry[slot] for slot in slots]
-
-
-def _enforce_real(merged: dict[tuple[int, complex], complex]) -> tuple[Mode, ...]:
-    scale = 1.0 + max((abs(a) for a in merged.values()), default=0.0)
+def _real_modes(merged: dict[tuple[int, complex], complex]) -> tuple[Mode, ...]:
+    """The nonzero modes, sorted, after the exact conjugate-closure check."""
     out: dict[tuple[int, complex], complex] = {}
     for (power, rate), amp in merged.items():
         if amp == 0.0:
             continue
-        if rate.imag == 0.0:
-            if abs(amp.imag) > RATE_MERGE_TOL * scale:
+        if rate.imag > 0.0 or rate.imag < 0.0:  # not `!= 0.0`: a NaN rate takes the real branch
+            partner = merged.get((power, rate.conjugate()))
+            if partner is None or abs(partner - amp.conjugate()) > 0.0:
                 raise ValueError(
-                    f"mode t^{power}*exp({rate}t) has non-real amplitude {amp}"
+                    f"modes at rate {rate} are not conjugate-closed ({amp} vs {partner})"
                 )
+            if rate.imag > 0.0:
+                out[(power, rate)] = amp
+                out[(power, rate.conjugate())] = amp.conjugate()
+        else:
+            if abs(amp.imag) > 0.0:
+                raise ValueError(f"mode t^{power}*exp({rate}t) has non-real amplitude {amp}")
             out[(power, rate)] = complex(amp.real, 0.0)
-        elif rate.imag > 0.0:
-            partner = merged.get((power, rate.conjugate()), 0.0 + 0.0j)
-            avg = 0.5 * (amp + partner.conjugate())
-            if abs(amp - partner.conjugate()) > 2 * RATE_MERGE_TOL * scale:
-                raise ValueError(
-                    f"modes at rate {rate} are not conjugate-closed "
-                    f"({amp} vs {partner})"
-                )
-            if avg != 0.0:
-                out[(power, rate)] = avg
-                out[(power, rate.conjugate())] = avg.conjugate()
     ordered = sorted(
         out.items(),
         key=lambda kv: (-abs(kv[0][1].real), kv[0][1].real, kv[0][1].imag, kv[0][0]),
@@ -307,7 +279,9 @@ def laplace_transform(x: Signal) -> RationalFunction:
     """Transform of the signal: sum of amp * power! / (s - rate)^(power+1).
 
     Terms sharing a rate are combined over (s - rate)^(max power + 1), so
-    the resulting denominator has one factor per distinct rate.
+    the resulting denominator has one factor per distinct rate.  The modes
+    are conjugate-closed, so both products are real polynomials; their real
+    parts are taken as they are.
     """
     if x.is_zero:
         return RationalFunction(Polynomial.zero(), Polynomial.one())
@@ -322,17 +296,32 @@ def laplace_transform(x: Signal) -> RationalFunction:
             term = root_product(others + [rate] * (kmax - power), amp * math.factorial(power))
             num = add_coeffs(num, term)
     den = root_product(roots)
-    return RationalFunction(
-        Polynomial(as_real_coeffs(num, what="transform numerator")),
-        Polynomial(as_real_coeffs(den, what="transform denominator")),
-    )
+    return RationalFunction(Polynomial(num.real), Polynomial(den.real))
 
 
 def from_partial_fractions(terms: tuple[PartialFractionTerm, ...]) -> Signal:
-    """Invert an expansion term-wise: c/(s-p)^k becomes c/(k-1)! * t^(k-1) e^(pt)."""
-    return Signal(
-        [(t.coeff / math.factorial(t.order - 1), t.order - 1, t.pole) for t in terms]
-    )
+    """Invert an expansion term-wise: c/(s-p)^k becomes c/(k-1)! * t^(k-1) e^(pt).
+
+    Conjugate closure is made exact here, where it holds by construction:
+    the poles come in exact conjugate pairs (see `poly_roots`), so a term at
+    a real pole keeps the real part of its amplitude, and the terms at a
+    pole p above the real axis and at its mirror conj(p), with the same
+    power, become one exactly conjugate pair whose amplitude is the mean of
+    the one at p and the conjugate of the one at conj(p).  A term whose
+    mirror is missing is passed through unpaired, and `Signal` rejects it.
+    """
+    amps = {(t.pole, t.order - 1): t.coeff / math.factorial(t.order - 1) for t in terms}
+    modes = []
+    for (pole, power), amp in amps.items():
+        partner = amps.get((pole.conjugate(), power))
+        if pole.imag == 0.0:
+            modes.append((amp.real, power, pole))
+        elif partner is None:
+            modes.append((amp, power, pole))
+        elif pole.imag > 0.0:
+            mean = 0.5 * (amp + partner.conjugate())
+            modes += [(mean, power, pole), (mean.conjugate(), power, pole.conjugate())]
+    return Signal(modes)
 
 
 # ---------------------------------------------------------------------------

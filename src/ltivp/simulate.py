@@ -28,6 +28,7 @@ import numpy as np
 
 from .ic import recover_state
 from .laplace import IVProblem, first_conditions
+from .poly import fmt_number
 from .realization import StateSpace, observable_canonical
 from .signal import Signal
 
@@ -115,7 +116,11 @@ def _plant_states(aug: np.ndarray, w0: np.ndarray, grid: np.ndarray, n: int) -> 
 
 
 def simulate(ss: StateSpace, x0, input: Signal, grid) -> Trajectory:
-    """Advance x' = A x + B u from t = 0 across the given time grid."""
+    """Advance x' = A x + B u from t = 0 across the given time grid.
+
+    Raises ValueError, naming the first sample, when a state or the output
+    is not finite there (an unstable plant overflowing on a long grid).
+    """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if len(grid) == 0:
         raise ValueError("grid is empty")
@@ -135,10 +140,17 @@ def simulate(ss: StateSpace, x0, input: Signal, grid) -> Trajectory:
     aug[:n, n:] = np.outer(ss.B, c)
     aug[n:, n:] = J
 
-    states = _plant_states(aug, np.concatenate([x0.astype(complex), z0]), grid, n)
-    outputs = states @ ss.C
-    if ss.D != 0.0:
-        outputs += ss.D * input(grid)
+    # an unstable plant can overflow on a long grid: the overflow is
+    # reported once, below, naming where it starts, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _plant_states(aug, np.concatenate([x0.astype(complex), z0]), grid, n)
+        outputs = states @ ss.C
+        if ss.D != 0.0:
+            outputs += ss.D * input(grid)
+    if not (np.isfinite(outputs).all() and np.isfinite(states).all()):
+        finite = np.isfinite(outputs) & np.isfinite(states).all(axis=1)
+        t_bad = fmt_number(grid[np.argmin(finite)])
+        raise ValueError(f"trajectory overflows: first non-finite sample at t = {t_bad}")
     return Trajectory(times=grid, states=states, outputs=outputs)
 
 

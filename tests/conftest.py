@@ -7,7 +7,7 @@ stays benign; exact repeats and conjugate pairs are still exercised.
 import numpy as np
 
 from ltivp import LinearODE, Signal
-from ltivp.poly import Polynomial, as_real_coeffs, root_product
+from ltivp.poly import Polynomial, root_product
 
 
 def min_separation(points) -> float:
@@ -41,8 +41,9 @@ def random_poles(rng, count, box=3.0, sep=0.2, allow_repeats=False):
 
 
 def poly_from_roots(roots) -> Polynomial:
-    """The monic real polynomial with the given conjugate-closed roots."""
-    return Polynomial(as_real_coeffs(root_product(roots)))
+    """The monic real polynomial with the given conjugate-closed roots
+    (the real parts of the product, whose imaginary parts are rounding)."""
+    return Polynomial(root_product(roots).real)
 
 
 def random_ode(rng, nmax=5, box=3.0) -> LinearODE:

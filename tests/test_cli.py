@@ -245,6 +245,28 @@ class TestErrors:
         assert code == 1
         assert "nope.json" in err
 
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_unwritable_csv(self, capsys, tmp_path, command):
+        target = tmp_path / "missing" / "x.csv"
+        code, _, err = run(capsys, command, RAMP, "--csv", str(target))
+        assert code == 1
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_overflowing_trajectory(self, capsys, tmp_path):
+        path = write_problem(
+            tmp_path,
+            {
+                "ode": {"a": [-4, -5], "b": [0, 1, 1]},
+                "input": "step",
+                "conditions": {"kind": "first", "y": [0, 0]},
+                "horizon": 300,
+                "grid": 4,
+            },
+        )
+        code, out, err = run(capsys, "simulate", path)
+        assert code == 1 and out == ""
+        assert err == "error: trajectory overflows: first non-finite sample at t = 150\n"
+
 
 class TestColdStart:
     def test_scipy_loaded_only_by_simulate(self):

@@ -79,6 +79,13 @@ def test_non_finite_data_rejected(field):
     assert "\n" not in str(info.value)
 
 
+def test_non_finite_frequency_reaches_the_field_check():
+    # a NaN rate is neither real nor above nor below the axis: Signal keeps
+    # the modes rather than dropping them, so the problem can name the field
+    with pytest.raises(ValueError, match=r"^input\.past: "):
+        _problem_with(PiecewiseInput(Signal.cosine(np.nan), Signal.ramp()))
+
+
 class TestAssemble:
     def test_first_form_reproduces_known_transform(self):
         Ys = assemble(EX2, RAMP_US, [5.0, -1.0], [1.0, 0.0])

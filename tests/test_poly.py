@@ -15,7 +15,7 @@ from ltivp.poly import (
     partial_fractions,
     poly_roots,
 )
-from ltivp.signal import from_partial_fractions, laplace_transform
+from ltivp.signal import Signal, from_partial_fractions, laplace_transform
 
 from conftest import poly_from_roots, random_poles
 
@@ -247,6 +247,13 @@ class TestPartialFractions:
         signal = from_partial_fractions(partial_fractions(rf))
         by_rate = {rate: amp for amp, _, rate in signal.modes}
         assert by_rate[complex(-1, 2)] == by_rate[complex(-1, -2)].conjugate()
+
+    @given(conjugate_closed_roots, st.lists(st.floats(-3, 3), min_size=1, max_size=16))
+    def test_inversion_is_exactly_conjugate_closed(self, roots, num):
+        den = poly_from_roots(roots)
+        rf = RationalFunction(Polynomial(num[: den.degree]), den)
+        y = from_partial_fractions(partial_fractions(rf))
+        assert Signal(y.modes) == y
 
     def test_recombination_property(self):
         """500 random proper rational functions survive expansion, inversion and

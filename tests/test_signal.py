@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ltivp.errors import NotStrictlyProper
-from ltivp.poly import Polynomial, RationalFunction, partial_fractions
+from ltivp.poly import PartialFractionTerm, Polynomial, RationalFunction, partial_fractions
 from ltivp.signal import (
     PiecewiseInput,
     Signal,
@@ -27,9 +27,26 @@ class TestConstruction:
         assert len(s.modes) == 1
         assert s.modes[0].amp == 3.5
 
-    def test_rates_unify_within_tolerance(self):
+    def test_close_rates_stay_distinct(self):
         s = Signal([(1.0, 0, -2.0), (1.0, 0, -2.0 + 1e-12)])
-        assert len(s.modes) == 1
+        assert len(s.modes) == 2
+
+    def test_near_conjugate_amplitude_rejected(self):
+        amp = complex(0.5, 0.25)
+        with pytest.raises(ValueError, match="not conjugate-closed"):
+            Signal([(amp, 0, 1j), (amp.conjugate() + 1e-15, 0, -1j)])
+
+    def test_lone_near_real_rate_rejected(self):
+        with pytest.raises(ValueError, match="not conjugate-closed"):
+            Signal([(1.0, 0, complex(-2.0, 1e-12))])
+
+    def test_non_integral_power_rejected(self):
+        with pytest.raises(ValueError, match="^mode powers must be nonnegative integers$"):
+            Signal([(1.0, 1.5, 0.0)])
+
+    def test_signed_zeros_share_a_mode(self):
+        s = Signal([(1.0, 0, complex(-2.0, -0.0)), (complex(1.0, -0.0), 0, -2.0)])
+        assert repr(s) == "Signal([((2+0j), 0, (-2+0j))])"
 
     def test_exact_cancellation_drops_mode(self):
         s = Signal([(1.0, 1, -1.0), (-1.0, 1, -1.0)])
@@ -257,6 +274,37 @@ class TestInverse:
         rf = RationalFunction(Polynomial([1.0, 1.0]), Polynomial([1.0, 1.0]))
         with pytest.raises(NotStrictlyProper, match="polynomial part"):
             partial_fractions(rf)
+
+    def test_unpaired_complex_pole_rejected(self):
+        for terms in (
+            [PartialFractionTerm(complex(-1, 2), 1, 1.0 + 0.5j)],
+            [PartialFractionTerm(complex(-1, -2), 1, 1.0 + 0.5j)],
+            # the mirror pole is there, but not at the same power
+            [
+                PartialFractionTerm(complex(-1, 2), 1, 1.0 + 0.5j),
+                PartialFractionTerm(complex(-1, -2), 2, 1.0 - 0.5j),
+            ],
+        ):
+            with pytest.raises(ValueError, match="not conjugate-closed") as info:
+                from_partial_fractions(tuple(terms))
+            assert "\n" not in str(info.value)
+
+    def test_mirror_terms_become_an_exact_pair(self):
+        # the two amplitudes differ by rounding: the pair gets their mean,
+        # and the real pole keeps the real part of its amplitude
+        y = from_partial_fractions(
+            (
+                PartialFractionTerm(complex(-1, 2), 1, complex(1.0, 0.5)),
+                PartialFractionTerm(complex(-1, -2), 1, complex(1.0 + 2.0**-51, -0.5 - 2.0**-52)),
+                PartialFractionTerm(complex(-3, 0), 1, complex(2.0, 1e-17)),
+            )
+        )
+        mean = complex(1.0 + 2.0**-52, 0.5 + 2.0**-53)
+        assert [tuple(m) for m in y.modes] == [
+            (complex(2.0, 0.0), 0, complex(-3, 0)),
+            (mean.conjugate(), 0, complex(-1, -2)),
+            (mean, 0, complex(-1, 2)),
+        ]
 
     def test_factorial_scaling(self):
         # 1/(s+1)^3 -> t^2 e^{-t} / 2

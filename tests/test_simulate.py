@@ -189,6 +189,18 @@ class TestSimulateIVP:
         with pytest.raises(ValueError):
             simulate_ivp(problem)
 
+    def test_overflow_raises_naming_first_time(self, recwarn):
+        # y'' - 4y' - 5y = u' + u under a step grows like e^(5t): the stepped
+        # state passes the double range between t = 75 and t = 150
+        problem = IVProblem(
+            ode=LinearODE([-4.0, -5.0], [0.0, 1.0, 1.0]),
+            input=PiecewiseInput.step(),
+            conditions=ConditionPair.first([0.0, 0.0]),
+        )
+        with pytest.raises(ValueError, match=r"^trajectory overflows: first non-finite sample at t = 150$"):
+            simulate_ivp(problem, default_grid(300.0, 4))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_agrees_with_transform_route(self):
         rng = np.random.default_rng(703)
         worst = 0.0
