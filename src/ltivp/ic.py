@@ -29,6 +29,7 @@ def _stack(x, n: int, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
     if len(x) != n:
         raise ValueError(f"{name} must have length {n}, got {len(x)}")
+    require_finite(name, x)
     return x
 
 

@@ -1,10 +1,11 @@
 """Exact state-space trajectories by matrix-exponential stepping.
 
-The input is not integrated numerically: every exponential-polynomial input
-satisfies a small homogeneous LTI system of its own (one Jordan chain per
-distinct rate), so the plant state is augmented with that generator and the
-whole block advances by expm of the augmented matrix.  Accuracy is then
-grid-independent, which is what an oracle for the symbolic path needs.
+The input is not integrated numerically: an exponential-polynomial input u
+solves a homogeneous ODE D(d/dt) u = 0 of its own, and its derivative stack
+at 0 starts it.  So the plant state is augmented with that stack, advanced
+by the companion matrix of D, and the whole real block advances by expm of
+the augmented matrix.  Accuracy is then grid-independent, which is what an
+oracle for the symbolic path needs.
 
 A uniform grid t_i = t_0 + i h (every `linspace` grid) costs two `expm`
 calls: one carries the state from 0 to t_0, one gives the step matrix
@@ -21,16 +22,15 @@ else needs it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ic import recover_state
+from .ic import _stack, recover_state
 from .laplace import IVProblem, first_conditions
 from .poly import fmt_number
 from .realization import StateSpace, observable_canonical
-from .signal import Signal
+from .signal import Signal, condition_stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,30 +50,27 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _input_generator(u: Signal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(J, c, z0) with z' = J z, z(0) = z0, u(t) = Re(c . z(t)).
+def _input_generator(u: Signal) -> tuple[np.ndarray, np.ndarray]:
+    """(J, z0) with z' = J z, z(0) = z0 and u(t) = z(t)[0], all real.
 
-    One Jordan chain per distinct rate: the chain for rate L carries the
-    functions t^k e^(Lt) / k!, so c picks mode amplitudes scaled by k!.
+    u solves D(d/dt) u = 0 for D(s) = prod (s - r)^(k+1) over its rates r
+    (k the top power at r), and D with the stack (u, u', ..., u^(K-1)) at 0
+    fixes u.  So z is that stack and J is the companion matrix of D: ones
+    on the superdiagonal, last row -(d_K, ..., d_1).  A conjugate pair
+    enters D as one real quadratic.  The zero signal needs no generator.
     """
-    groups = u.by_rate()
-    size = sum(max(powers) + 1 for powers in groups.values())
-    J = np.zeros((size, size), dtype=complex)
-    c = np.zeros(size, dtype=complex)
-    z0 = np.zeros(size, dtype=complex)
-    at = 0
-    for rate, powers in groups.items():
-        kmax = max(powers)
-        for k in range(kmax + 1):
-            J[at + k, at + k] = rate
-            if k > 0:
-                J[at + k, at + k - 1] = 1.0
-            amp = powers.get(k)
-            if amp is not None:
-                c[at + k] = amp * math.factorial(k)
-        z0[at] = 1.0
-        at += kmax + 1
-    return J, c, z0
+    if u.is_zero:
+        return np.zeros((0, 0)), np.zeros(0)
+    d = np.ones(1)
+    for rate, powers in u.by_rate().items():
+        if rate.imag >= 0.0:  # the conjugate partner is in the quadratic
+            factor = [1.0, -rate.real] if rate.imag == 0.0 else [1.0, -2.0 * rate.real, abs(rate) ** 2]
+            for _ in range(max(powers) + 1):
+                d = np.convolve(d, factor)
+    K = len(d) - 1
+    J = np.eye(K, k=1)
+    J[-1] = -d[:0:-1]
+    return J, condition_stack(u, K)[::-1]
 
 
 # a grid is uniform when every t_i is within this many ulps of t_(N-1) of t_0 + i h
@@ -92,10 +89,10 @@ def _uniform_step(grid: np.ndarray) -> float | None:
 
 
 def _plant_states(aug: np.ndarray, w0: np.ndarray, grid: np.ndarray, n: int) -> np.ndarray:
-    """Rows Re w(t_i)[:n] of the solution of w' = aug w, w(0) = w0."""
+    """Rows w(t_i)[:n] of the solution of w' = aug w, w(0) = w0."""
     from scipy.linalg import expm
 
-    W = np.empty((len(grid), len(w0)), dtype=complex)
+    W = np.empty((len(grid), len(w0)))
     W[0] = expm(aug * grid[0]) @ w0
     h = _uniform_step(grid)
     if h is None:
@@ -112,7 +109,7 @@ def _plant_states(aug: np.ndarray, w0: np.ndarray, grid: np.ndarray, n: int) -> 
             done += take
             if done < len(grid):
                 step_t = step_t @ step_t
-    return np.ascontiguousarray(W[:, :n].real)
+    return np.ascontiguousarray(W[:, :n])
 
 
 def simulate(ss: StateSpace, x0, input: Signal, grid) -> Trajectory:
@@ -128,22 +125,21 @@ def simulate(ss: StateSpace, x0, input: Signal, grid) -> Trajectory:
         raise ValueError("grid: times must be finite")
     if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing and start at t >= 0")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
     n = ss.n
-    if len(x0) != n:
-        raise ValueError(f"x0 must have length {n}")
+    x0 = _stack(x0, n, "x0")
 
-    J, c, z0 = _input_generator(input)
+    J, z0 = _input_generator(input)
     k = len(z0)
-    aug = np.zeros((n + k, n + k), dtype=complex)
+    aug = np.zeros((n + k, n + k))
     aug[:n, :n] = ss.A
-    aug[:n, n:] = np.outer(ss.B, c)
     aug[n:, n:] = J
+    if k:
+        aug[:n, n] = ss.B  # u = z[0] drives the plant
 
     # an unstable plant can overflow on a long grid: the overflow is
     # reported once, below, naming where it starts, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        states = _plant_states(aug, np.concatenate([x0.astype(complex), z0]), grid, n)
+        states = _plant_states(aug, np.concatenate([x0, z0]), grid, n)
         outputs = states @ ss.C
         if ss.D != 0.0:
             outputs += ss.D * input(grid)
@@ -166,8 +162,10 @@ def default_grid(t_f: float, points: int = 200) -> np.ndarray:
 def simulate_ivp(problem: IVProblem, grid=None) -> Trajectory:
     """Solve the IVP on the state-space side: realize, recover x(0+), step.
 
-    This path shares no code with the Laplace pipeline beyond the problem
-    types, so agreement between the two is a meaningful check.
+    This path shares no solution code with the Laplace pipeline: only the
+    problem types and the condition stacks (`first_conditions`,
+    `condition_stack`), which both routes start from.  So agreement
+    between the two is a meaningful check.
     """
     if grid is None:
         if problem.horizon is None:

@@ -176,3 +176,19 @@ def test_state_continuity_across_switch():
         x_after = recover_state(ss, y_first, u_first)
         worst = max(worst, np.max(np.abs(x_after - x_before)))
     assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_stacks_rejected(bad):
+    ss = observable_canonical(EX2)
+    calls = {
+        "y_stack": lambda s: recover_state(ss, s, [0.0, 0.0]),
+        "u_stack": lambda s: recover_state(ss, [0.0, 0.0], s),
+        "y_prev": lambda s: map_previous_to_first(EX2, s, [0.0, 0.0], [0.0, 0.0]),
+        "u_prev": lambda s: map_previous_to_first(EX2, [0.0, 0.0], s, [0.0, 0.0]),
+        "u_first": lambda s: map_previous_to_first(EX2, [0.0, 0.0], [0.0, 0.0], s),
+        "u_jump": lambda s: classify_continuity(EX2, s),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=rf"^{name}: expected finite numbers, got {bad}$"):
+            call([bad, 0.0])

@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ("input_switch", "ramp_input", "step_from_rest")
 CLOSED_FORM = (
     "laplace_transform", "assemble", "partial_fractions", "from_partial_fractions", "poly_roots",
+    "root_product",
 )
 STATE_SPACE = ("observable_canonical", "recover_state", "simulate")
 
