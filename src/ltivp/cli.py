@@ -90,10 +90,8 @@ def cmd_solve(parsed: ParsedProblem, args) -> int:
         y_first, u_first = laplace.first_conditions(problem)
         print(f"Y(0+) = {_vec(y_first)}   (mapped from previous conditions)")
         print(f"U(0+) = {_vec(u_first)}")
-    Ys = laplace.solution_transform(problem)
-    print(f"Y(s) = {Ys}")
-    y = laplace.invert(Ys).trimmed()
-    print(f"y(t) = {format_signal(y)}")
+    print(f"Y(s) = {laplace.solution_transform(problem)}")
+    print(f"y(t) = {format_signal(laplace.solve_ivp(problem))}")
     if args.csv is not None:
         _write_csv(simulate_ivp(problem, _resolve_grid(args, parsed)), args.csv)
     return 0

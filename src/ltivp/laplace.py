@@ -10,6 +10,10 @@ and V_y, V_u the stack-weight matrices of ode.ic_vectors.  Either side of
 the switch works: V_y M = V_u with M the Markov matrix, so previous-condition
 stacks (0-) and first-condition stacks (0+) produce the same Y(s), and no
 conversion step is needed as long as the two stacks come from the same side.
+
+Y(s) is inverted by partial fractions over its poles.  Only A(s) is
+root-found: the input's poles are known exactly from its signal (a rate
+whose highest power is t^k is a pole of multiplicity k + 1).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import poly
 from .ic import ConditionPair, map_previous_to_first
 from .ode import LinearODE, ic_vectors, require_finite, transfer_function
 from .poly import Polynomial, RationalFunction, partial_fractions
@@ -70,12 +75,6 @@ def assemble(ode: LinearODE, Us: RationalFunction, y_stack, u_stack) -> Rational
     )
 
 
-def invert(Ys: RationalFunction) -> Signal:
-    """Inverse transform via partial fractions; strictly proper input only
-    (anything else raises NotStrictlyProper)."""
-    return from_partial_fractions(partial_fractions(Ys))
-
-
 def stated_conditions(problem: IVProblem) -> tuple[np.ndarray, np.ndarray]:
     """(Y, U) on the side the conditions are stated: U from that input segment."""
     cond = problem.conditions
@@ -94,7 +93,9 @@ def first_conditions(problem: IVProblem) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_ivp(problem: IVProblem) -> Signal:
     """Closed-form y(t) for t > 0 as an exponential-polynomial signal."""
-    return invert(solution_transform(problem)).trimmed()
+    known = [(rate, max(powers) + 1) for rate, powers in problem.input.future.by_rate().items()]
+    poles = poly.poly_roots(transfer_function(problem.ode).den, known)
+    return from_partial_fractions(partial_fractions(solution_transform(problem), poles)).trimmed()
 
 
 def solution_transform(problem: IVProblem) -> RationalFunction:

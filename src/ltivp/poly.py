@@ -2,14 +2,16 @@
 
 Coefficients are stored lowest degree first.  Rational functions keep their
 denominator monic so that coefficient comparisons are meaningful.  Root
-finding goes through the companion matrix; clustered eigenvalues are merged
-into multiple roots, each taken as the mean of its cluster, before partial
-fraction expansion.  The roots are closed under conjugation exactly, by
-construction and with no tolerance: the real eigensolver returns complex
-eigenvalues as exact conjugate pairs, and each mean is summed in an order
-that conjugation preserves.  So the poles of an expansion pair up by exact
-key, and `signal.from_partial_fractions` makes the closed form exactly
-real from them; nothing here casts a complex result to real by tolerance.
+finding goes through the companion matrix of the one factor whose roots are
+unknown, A(s); clustered eigenvalues are merged into multiple roots, each
+the mean of its cluster.  Factors known exactly (the input's rates) are
+added as they are, and partial fraction expansion takes the pole list.  The
+roots are closed under conjugation exactly, by construction and with no
+tolerance: the real eigensolver returns complex eigenvalues as exact
+conjugate pairs, and each mean is summed in an order that conjugation
+preserves.  So the poles of an expansion pair up by exact key, and
+`signal.from_partial_fractions` makes the closed form exactly real from
+them; nothing here casts a complex result to real by tolerance.
 """
 
 from __future__ import annotations
@@ -234,25 +236,32 @@ def _centroid(group: list[complex]) -> complex:
     return sum(sorted(group, key=lambda z: (z.real, abs(z.imag), z.imag))) / len(group)
 
 
-def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
-    """All roots of p with multiplicities, as (root, multiplicity) pairs.
+def poly_roots(p: Polynomial, known=()) -> list[tuple[complex, int]]:
+    """All roots of p * prod (s - r)^k over the known (r, k) pairs, as
+    (root, multiplicity) pairs.
 
-    Roots come from the eigenvalues of the companion matrix.  Eigenvalues
-    that agree to within the (multiplicity-aware) cluster radius are merged
-    into a single root whose multiplicity is the cluster size.  The root is
-    the mean of the cluster, which rounding disturbs far less than any one
-    of its eigenvalues, so no refinement follows.  Multiplicities sum to the
-    degree, and the pairs come sorted by (real, imag) part.  The set is
-    closed under conjugation exactly, with no tolerance (see `_centroid`),
-    and a root that is its own conjugate is exactly real.
+    Only p is root-found, from the eigenvalues of its companion matrix.
+    Eigenvalues that agree to within the (multiplicity-aware) cluster radius
+    are merged into a single root whose multiplicity is the cluster size.
+    The root is the mean of the cluster, which rounding disturbs far less
+    than any one of its eigenvalues, so no refinement follows.  Resonance:
+    a root of multiplicity m within the radius for m + k of a known r
+    (relative to 1 + |r|) becomes r, with multiplicity m + k.  Multiplicities
+    sum to the degree of the product, and the pairs come sorted by (real,
+    imag) part.  With conjugate-closed known factors
+    the set is closed under conjugation exactly, with no tolerance (see
+    `_centroid`), and a root that is its own conjugate is exactly real.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
-    if p.degree == 0:
-        return []
     raw = np.roots(np.asarray(p.coeffs[::-1], dtype=float))
-    pairs = [(_centroid(g), len(g)) for g in _cluster(raw)]
-    return sorted(pairs, key=lambda rm: (rm[0].real, rm[0].imag))
+    found = [(_centroid(g), len(g)) for g in _cluster(raw)]
+    pairs = []
+    for rate, k in known:
+        near = [(z, m) for z, m in found if abs(z - rate) <= _merge_radius(m + k) * (1.0 + abs(rate))]
+        found = [zm for zm in found if zm not in near]
+        pairs.append((complex(rate), k + sum(m for _, m in near)))
+    return sorted(found + pairs, key=lambda rm: (rm[0].real, rm[0].imag))
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +323,17 @@ def _taylor(coeffs, x0: complex, count: int) -> np.ndarray:
     return out
 
 
-def partial_fractions(rf: RationalFunction) -> tuple[PartialFractionTerm, ...]:
+def partial_fractions(rf: RationalFunction, poles) -> tuple[PartialFractionTerm, ...]:
     """Expand a strictly proper rational function into coeff/(s - pole)**order terms.
 
-    Each pole p of multiplicity m contributes terms of order 1..m whose
-    coefficients come from the Taylor expansion of num / [den / (s - p)^m]
-    at p, so repeated poles need no symbolic differentiation.  The Taylor
-    coefficients of den / (s - p)^m are those of lead * prod (sigma - (q - p))
-    in sigma = s - p over the other roots q, formed from the root differences
-    rather than by dividing den down, which loses accuracy when roots sit
+    `poles` are the denominator's (pole, multiplicity) pairs, as `poly_roots`
+    returns them; the denominator is not root-found here.  Each pole p of
+    multiplicity m contributes terms of order 1..m whose coefficients come
+    from the Taylor expansion of num / [den / (s - p)^m] at p, so repeated
+    poles need no symbolic differentiation.  The Taylor coefficients of
+    den / (s - p)^m are those of lead * prod (sigma - (q - p)) in
+    sigma = s - p over the other poles q, formed from the pole differences
+    rather than by dividing den down, which loses accuracy when poles sit
     close together.  Every transform the package assembles is strictly
     proper; any other input would have a polynomial part, whose time-domain
     counterpart is impulsive, and raises NotStrictlyProper.  Coefficients
@@ -336,12 +347,13 @@ def partial_fractions(rf: RationalFunction) -> tuple[PartialFractionTerm, ...]:
             "expansion has a polynomial part; the time-domain counterpart "
             "is impulsive and outside the exponential-polynomial class"
         )
+    if sum(m for _, m in poles) != den.degree:
+        raise ValueError(f"pole multiplicities must sum to the denominator's degree {den.degree}")
     if num.is_zero:
         return ()
-    roots = poly_roots(den)
     terms: list[PartialFractionTerm] = []
-    for i, (pole, mult) in enumerate(roots):
-        others = [q - pole for j, (q, mq) in enumerate(roots) if j != i for _ in range(mq)]
+    for i, (pole, mult) in enumerate(poles):
+        others = [q - pole for j, (q, mq) in enumerate(poles) if j != i for _ in range(mq)]
         den_t = root_product(others, den.coeffs[-1], mult)
         num_t = _taylor(num.coeffs, pole, mult)
         ratio = np.zeros(mult, dtype=complex)

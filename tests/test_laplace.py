@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ltivp import poly
 from ltivp.errors import NotStrictlyProper
 from ltivp.ic import ConditionPair, map_previous_to_first
 from ltivp.laplace import (
     IVProblem,
     assemble,
     first_conditions,
-    invert,
     solution_transform,
     solve_ivp,
 )
 from ltivp.ode import LinearODE
-from ltivp.poly import Polynomial, RationalFunction
+from ltivp.poly import Polynomial, RationalFunction, partial_fractions, poly_roots
 from ltivp.realization import StateSpace
-from ltivp.signal import PiecewiseInput, Signal, condition_stack, laplace_transform
+from ltivp.signal import PiecewiseInput, Signal, condition_stack, from_partial_fractions, laplace_transform
 from ltivp.simulate import simulate_ivp
 
 from conftest import random_ode, random_signal
@@ -102,6 +102,11 @@ class TestAssemble:
     def test_stack_length_validation(self):
         with pytest.raises(ValueError):
             assemble(EX2, RAMP_US, [1.0], [0.0, 1.0])
+
+
+def invert(rf: RationalFunction) -> Signal:
+    """Inverse transform over the root-found poles of the whole denominator."""
+    return from_partial_fractions(partial_fractions(rf, poly_roots(rf.den)))
 
 
 class TestInvert:
@@ -221,6 +226,83 @@ class TestSolveIVP:
                 rng.uniform(-2, 2, ode.n),
             )
             assert Ys.num.degree < Ys.den.degree
+
+
+def route_gap(problem: IVProblem, ts) -> float:
+    """Largest |closed form - state space| on ts, in units of 1e-8 + 1e-6 |y|."""
+    closed = solve_ivp(problem)(ts)
+    sim = simulate_ivp(problem, ts).outputs
+    return float(np.max(np.abs(closed - sim) / (1e-8 + 1e-6 * np.abs(closed))))
+
+
+#: a double pole pair at -1 +- i driven by t^2 e^(-1.5t) cos(0.5t), whose
+#: transform has a triple pole pair: root-finding the whole degree-10
+#: denominator split both into simple roots, 13.5x the route tolerance off
+DOUBLE_PAIR = IVProblem(
+    ode=LinearODE([4.0, 8.0, 8.0, 4.0], [1.0, 2.0, 3.0, 4.0, 5.0]),
+    input=PiecewiseInput(
+        Signal.zero(), Signal([(0.5, 2, complex(-1.5, 0.5)), (0.5, 2, complex(-1.5, -0.5))])
+    ),
+    conditions=ConditionPair.previous([1.0, -1.0, 1.0, -1.0]),
+    horizon=5.0,
+)
+
+
+def from_rest(a, b, future: Signal) -> IVProblem:
+    ode = LinearODE(a, b)
+    return IVProblem(
+        ode=ode,
+        input=PiecewiseInput(Signal.zero(), future),
+        conditions=ConditionPair.previous(np.zeros(ode.n)),
+        horizon=8.0,
+    )
+
+
+class TestInputPoles:
+    def test_double_pole_pair_with_triple_input_pair(self):
+        assert route_gap(DOUBLE_PAIR, np.linspace(0.05, 5.0, 100)) <= 1.0
+
+    def test_only_the_ode_denominator_is_root_found(self, monkeypatch):
+        # the input's poles come from its signal, so every companion matrix
+        # has n rows
+        degrees = []
+        roots = poly.poly_roots
+
+        def recording(p, *args):
+            degrees.append(p.degree)
+            return roots(p, *args)
+
+        monkeypatch.setattr(poly, "poly_roots", recording)
+        rng = np.random.default_rng(611)
+        problems = [DOUBLE_PAIR] + [
+            IVProblem(
+                ode=ode,
+                input=PiecewiseInput(past=random_signal(rng), future=random_signal(rng)),
+                conditions=ConditionPair.previous(rng.uniform(-2, 2, ode.n)),
+            )
+            for ode in (random_ode(rng, nmax=5) for _ in range(20))
+        ]
+        for problem in problems:
+            degrees.clear()
+            solve_ivp(problem)
+            assert degrees == [problem.ode.n]
+
+    @pytest.mark.parametrize(
+        "a, b, future, rates",
+        [
+            # e^-t into y' + y = u: y = t e^-t
+            ([1.0], [0.0, 1.0], Signal.exponential(-1.0), {-1.0}),
+            # cos t into y'' + y = u: y = t sin(t) / 2
+            ([0.0, 1.0], [0.0, 0.0, 1.0], Signal.cosine(1.0), {1j, -1j}),
+            # e^-t into a pole at -1 + 1e-8, within the merge radius
+            ([1.0 - 1e-8], [0.0, 1.0], Signal.exponential(-1.0), {-1.0}),
+        ],
+        ids=["exponential", "cosine", "near-resonant"],
+    )
+    def test_resonance_matches_state_space(self, a, b, future, rates):
+        problem = from_rest(a, b, future)
+        assert {rate for _, _, rate in solve_ivp(problem).modes} == rates
+        assert route_gap(problem, np.linspace(0.08, 8.0, 100)) <= 1.0
 
 
 def test_interchangeability_random():

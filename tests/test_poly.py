@@ -185,6 +185,21 @@ class TestRoots:
             if abs(root.imag) <= 16 * np.finfo(float).eps * (1.0 + abs(root)):
                 assert root.imag == 0.0, roots
 
+    def test_known_factors_are_taken_as_given(self):
+        assert poly_roots(Polynomial([5.0, 6.0, 1.0]), [(0.0, 2)]) == [(-5.0, 1), (-1.0, 1), (0.0, 2)]
+        assert poly_roots(Polynomial([4.0]), [(-2.0, 3)]) == [(-2.0, 3)]
+        # known rates are exact: however close, they never merge
+        assert poly_roots(Polynomial.one(), [(-1.0, 1), (-1.0 + 1e-9, 1)]) == [(-1.0, 1), (-1.0 + 1e-9, 1)]
+        # 1e-3 from the known rate: outside the merge radius, so distinct
+        assert poly_roots(poly_from_roots([-1.001]), [(-1.0, 1)]) == [(-1.001, 1), (-1.0, 1)]
+
+    def test_resonant_root_becomes_the_known_rate(self):
+        # a root within the radius for the summed multiplicity of a known
+        # rate is that rate, exactly, and a conjugate pair stays one
+        assert poly_roots(poly_from_roots([-1.0 + 1e-9]), [(-1.0, 2)]) == [(-1.0, 3)]
+        assert poly_roots(poly_from_roots([-1.0, -1.0]), [(-1.0, 1)]) == [(-1.0, 3)]
+        assert poly_roots(Polynomial([1.0, 0.0, 1.0]), [(1j, 1), (-1j, 1)]) == [(-1j, 2), (1j, 2)]
+
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             poly_roots(Polynomial.zero())
@@ -218,21 +233,21 @@ class TestRoots:
 class TestPartialFractions:
     def test_two_simple_poles(self):
         rf = RationalFunction(Polynomial.one(), poly_from_roots([-1.0, -5.0]))
-        got = {(t.pole, t.order): t.coeff for t in partial_fractions(rf)}
+        got = {(t.pole, t.order): t.coeff for t in partial_fractions(rf, poly_roots(rf.den))}
         assert_allclose(got[(-1.0, 1)], 0.25, atol=1e-12)
         assert_allclose(got[(-5.0, 1)], -0.25, atol=1e-12)
 
     def test_double_pole_at_zero(self):
         # (s+2)/(s^2 (s+5)) = (3/25)/s + (2/5)/s^2 - (3/25)/(s+5)
         rf = RationalFunction(Polynomial([2.0, 1.0]), Polynomial([0.0, 0.0, 5.0, 1.0]))
-        got = {(t.pole, t.order): t.coeff for t in partial_fractions(rf)}
+        got = {(t.pole, t.order): t.coeff for t in partial_fractions(rf, poly_roots(rf.den))}
         assert_allclose(got[(0.0, 1)], 3.0 / 25.0, atol=1e-12)
         assert_allclose(got[(0.0, 2)], 2.0 / 5.0, atol=1e-12)
         assert_allclose(got[(-5.0, 1)], -3.0 / 25.0, atol=1e-12)
 
     def test_single_term_passthrough(self):
         rf = RationalFunction(Polynomial.one(), Polynomial([0.0, 1.0]))
-        [term] = partial_fractions(rf)
+        [term] = partial_fractions(rf, poly_roots(rf.den))
         assert term.pole == 0.0 and term.order == 1
         assert_allclose(term.coeff, 1.0)
 
@@ -240,11 +255,16 @@ class TestPartialFractions:
         # s^2 / (s + 1) = s - 1 + 1 / (s + 1): the polynomial part is refused
         rf = RationalFunction(Polynomial([0.0, 0.0, 1.0]), Polynomial([1.0, 1.0]))
         with pytest.raises(NotStrictlyProper, match="polynomial part"):
-            partial_fractions(rf)
+            partial_fractions(rf, poly_roots(rf.den))
+
+    def test_poles_must_cover_the_denominator(self):
+        rf = RationalFunction(Polynomial.one(), poly_from_roots([-1.0, -5.0]))
+        with pytest.raises(ValueError, match="degree 2"):
+            partial_fractions(rf, [(-1.0, 1)])
 
     def test_conjugate_coefficients(self):
         rf = RationalFunction(Polynomial([1.0, 2.0]), poly_from_roots([complex(-1, 2), complex(-1, -2)]))
-        signal = from_partial_fractions(partial_fractions(rf))
+        signal = from_partial_fractions(partial_fractions(rf, poly_roots(rf.den)))
         by_rate = {rate: amp for amp, _, rate in signal.modes}
         assert by_rate[complex(-1, 2)] == by_rate[complex(-1, -2)].conjugate()
 
@@ -252,7 +272,7 @@ class TestPartialFractions:
     def test_inversion_is_exactly_conjugate_closed(self, roots, num):
         den = poly_from_roots(roots)
         rf = RationalFunction(Polynomial(num[: den.degree]), den)
-        y = from_partial_fractions(partial_fractions(rf))
+        y = from_partial_fractions(partial_fractions(rf, poly_roots(rf.den)))
         assert Signal(y.modes) == y
 
     def test_recombination_property(self):
@@ -266,6 +286,6 @@ class TestPartialFractions:
             den = poly_from_roots(poles)
             num = Polynomial(rng.uniform(-3, 3, int(rng.integers(0, deg_d)) + 1))
             rf = RationalFunction(num, den)
-            rec = laplace_transform(from_partial_fractions(partial_fractions(rf)))
+            rec = laplace_transform(from_partial_fractions(partial_fractions(rf, poly_roots(rf.den))))
             worst = max(worst, coeff_gap(rec.num, rf.num), coeff_gap(rec.den, rf.den))
         assert worst <= 1e-8

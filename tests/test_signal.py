@@ -265,7 +265,8 @@ class TestLaplaceTransform:
 class TestInverse:
     def test_round_trip(self):
         s = Signal.constant(1.0) + Signal([(2.0, 1, -1.0)]) + Signal.sine(2.0)
-        back = from_partial_fractions(partial_fractions(laplace_transform(s)))
+        poles = [(0.0, 1), (-1.0, 2), (2j, 1), (-2j, 1)]
+        back = from_partial_fractions(partial_fractions(laplace_transform(s), poles))
         ts = np.linspace(0, 3, 60)
         assert_allclose(back(ts), s(ts), atol=1e-9)
 
@@ -273,7 +274,7 @@ class TestInverse:
         # (s + 1) / (s + 1) = 1 is an impulse; it never reaches from_partial_fractions
         rf = RationalFunction(Polynomial([1.0, 1.0]), Polynomial([1.0, 1.0]))
         with pytest.raises(NotStrictlyProper, match="polynomial part"):
-            partial_fractions(rf)
+            partial_fractions(rf, [(-1.0, 1)])
 
     def test_unpaired_complex_pole_rejected(self):
         for terms in (
@@ -309,7 +310,7 @@ class TestInverse:
     def test_factorial_scaling(self):
         # 1/(s+1)^3 -> t^2 e^{-t} / 2
         pfe = partial_fractions(
-            RationalFunction(Polynomial.one(), Polynomial([1.0, 3.0, 3.0, 1.0]))
+            RationalFunction(Polynomial.one(), Polynomial([1.0, 3.0, 3.0, 1.0])), [(-1.0, 3)]
         )
         s = from_partial_fractions(pfe)
         ts = np.linspace(0.1, 2, 13)

@@ -241,13 +241,7 @@ DISTINCT_POLE_ODES = (
 def _long_input_cases():
     for name in LONG_INPUTS:
         for poles, b in DISTINCT_POLE_ODES:
-            marks = ()
-            if name == "t2_damped_cos" and len(poles) >= 2:
-                # the closed form misses here: poly_roots splits the triple
-                # pole pair of Y(s) into six simple roots (ROADMAP, "Factor
-                # the denominator"); the state-space side is right
-                marks = pytest.mark.xfail(strict=True, reason="poly_roots misses the triple input pole pair")
-            yield pytest.param(name, poles, b, marks=marks, id=f"{name}-n{len(poles)}")
+            yield pytest.param(name, poles, b, id=f"{name}-n{len(poles)}")
 
 
 class TestLongInputs:
