@@ -92,10 +92,14 @@ def first_conditions(problem: IVProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_ivp(problem: IVProblem) -> Signal:
-    """Closed-form y(t) for t > 0 as an exponential-polynomial signal."""
+    """Closed-form y(t) for t > 0 as an exponential-polynomial signal.
+
+    Every term of the expansion is kept as computed, with no threshold, so
+    the result is exactly linear in the conditions and the input.
+    """
     known = [(rate, max(powers) + 1) for rate, powers in problem.input.future.by_rate().items()]
     poles = poly.poly_roots(transfer_function(problem.ode).den, known)
-    return from_partial_fractions(partial_fractions(solution_transform(problem), poles)).trimmed()
+    return from_partial_fractions(partial_fractions(solution_transform(problem), poles))
 
 
 def solution_transform(problem: IVProblem) -> RationalFunction:

@@ -30,9 +30,6 @@ from .poly import (
     signed_sum,
 )
 
-#: `trimmed` drops amplitudes, and zeroes real or imaginary parts, at or below this.
-TRIM_TOL = 1e-12
-
 
 class Mode(NamedTuple):
     amp: complex
@@ -136,15 +133,6 @@ class Signal:
     def is_zero(self) -> bool:
         return not self.modes
 
-    def trimmed(self) -> "Signal":
-        """Drop modes with negligible amplitude and snap near-zero components."""
-        out = []
-        for amp, power, rate in self.modes:
-            if abs(amp) <= TRIM_TOL:
-                continue
-            out.append((_snap(amp), power, _snap(rate)))
-        return Signal(out)
-
     def by_rate(self) -> dict[complex, dict[int, complex]]:
         """Modes grouped as {rate: {power: amp}}, both levels in mode order."""
         groups: dict[complex, dict[int, complex]] = {}
@@ -217,12 +205,6 @@ def _horner(coeffs: list[float], t: np.ndarray):
     for c in reversed(coeffs[:-1]):
         acc = acc * t + c
     return acc
-
-
-def _snap(z: complex) -> complex:
-    re = 0.0 if abs(z.real) <= TRIM_TOL else z.real
-    im = 0.0 if abs(z.imag) <= TRIM_TOL else z.imag
-    return complex(re, im)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,20 @@
 
 Pole draws enforce a minimum separation so partial-fraction conditioning
 stays benign; exact repeats and conjugate pairs are still exercised.
+
+Every hypothesis property runs under one profile: derandomized, so a rerun
+draws the same examples, and with no deadline, since a solve's time varies
+with the machine.
 """
 
 import numpy as np
+from hypothesis import settings
 
 from ltivp import LinearODE, Signal
 from ltivp.poly import Polynomial, root_product
+
+settings.register_profile("ltivp", derandomize=True, deadline=None)
+settings.load_profile("ltivp")
 
 
 def min_separation(points) -> float:

@@ -3,7 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -172,7 +172,6 @@ class TestRoots:
         assert lower == upper.conjugate()
         assert abs(upper - complex(-1, 2)) <= 1e-12
 
-    @settings(derandomize=True, deadline=None)
     @given(conjugate_closed_roots)
     def test_conjugate_closure_is_exact(self, true_roots):
         p = poly_from_roots(true_roots)

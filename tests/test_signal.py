@@ -317,16 +317,6 @@ class TestInverse:
         assert_allclose(s(ts), ts**2 * np.exp(-ts) / 2.0, atol=1e-10)
 
 
-class TestTrimmed:
-    def test_drops_tiny_amplitudes(self):
-        s = Signal([(1.0, 0, -1.0), (1e-14, 0, -2.0)])
-        assert len(s.trimmed().modes) == 1
-
-    def test_snaps_tiny_rate(self):
-        s = Signal([(1.0, 0, 1e-14)])
-        assert s.trimmed().modes[0].rate == 0.0
-
-
 class TestPiecewiseInput:
     def test_step(self):
         d = PiecewiseInput.step()
