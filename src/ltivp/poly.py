@@ -101,13 +101,13 @@ def fmt_number(x: float) -> str:
 
 
 def signed_sum(terms) -> str:
-    """Join (coefficient, body) terms as "a + b - c", signed by the coefficient."""
+    """Join (coefficient, body) terms as "a + b - c": only a negative coefficient takes a minus sign."""
     parts = []
     for c, body in terms:
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(f"-{body}" if c < 0 else body)
         else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            parts.append(f"- {body}" if c < 0 else f"+ {body}")
     return " ".join(parts)
 
 
@@ -172,10 +172,29 @@ def _cluster(roots: np.ndarray) -> list[list[complex]]:
     m = 2 radius of each other; roots packed more tightly than the radius for
     their count are indistinguishable from a true multiple root in double
     precision and are treated as one.
+
+    One pass over the pairwise distances first screens out every round that
+    cannot merge.  A merging component holds at least m eigenvalues whose
+    diameter is within 2 radius (1 + their largest modulus), so each of them
+    has at least m - 1 others within 2 radius (1 + the largest modulus of
+    all); where no eigenvalue does, the round's first linkage pass would
+    merge nothing and leave the groups as they are.  The distances and
+    moduli are computed as `_compact` computes them, so skipping such a
+    round is exact: the groups, and their order, are those of running every
+    round.
     """
     groups: list[list[complex]] = [[complex(r)] for r in roots]
+    if len(groups) < 2:
+        return groups
+    # reach[k]: the smallest distance from any eigenvalue to its k-th nearest other
+    dist = np.abs(roots[:, None] - roots)
+    dist.sort()
+    reach = dist.min(axis=0).tolist()
+    top = float(np.abs(roots).max())
     for m in range(len(groups), 1, -1):
         radius = _merge_radius(m)
+        if reach[m - 1] > 2.0 * radius * (1.0 + top):
+            continue
         while True:
             comps = _link_components(groups, radius)
             merge = [

@@ -31,6 +31,10 @@ from .poly import (
 )
 
 
+#: The one rate every rate with a NaN part becomes.
+_NAN_RATE = complex(math.nan, math.nan)
+
+
 class Mode(NamedTuple):
     amp: complex
     power: int
@@ -48,7 +52,9 @@ class Signal:
     rate with the same power and the conjugate amplitude.  Rates and
     amplitudes are never snapped or averaged; anything else raises
     ValueError.  NaN compares as no mismatch, so that non-finite data
-    reaches the checks that can name its field.
+    reaches the checks that can name its field: every rate with a NaN part
+    is one key, taken as real, and its mode is kept even where its
+    amplitudes cancel.
     """
 
     __slots__ = ("modes",)
@@ -59,7 +65,9 @@ class Signal:
             if power < 0 or power != int(power):
                 raise ValueError("mode powers must be nonnegative integers")
             rate = complex(rate)
-            if rate.imag == 0.0:
+            if rate != rate:
+                rate = _NAN_RATE  # NaN never equals itself: one shared key merges such modes
+            elif rate.imag == 0.0:
                 rate = complex(rate.real, 0.0)  # one key and one repr for +0j and -0j
             key = (int(power), rate)
             merged[key] = merged.get(key, 0.0 + 0.0j) + complex(amp)
@@ -174,10 +182,11 @@ class Signal:
 
 
 def _real_modes(merged: dict[tuple[int, complex], complex]) -> tuple[Mode, ...]:
-    """The nonzero modes, sorted, after the exact conjugate-closure check."""
+    """The nonzero modes and any at the NaN rate, sorted, after the exact
+    conjugate-closure check."""
     out: dict[tuple[int, complex], complex] = {}
     for (power, rate), amp in merged.items():
-        if amp == 0.0:
+        if amp == 0.0 and rate is not _NAN_RATE:
             continue
         if rate.imag > 0.0 or rate.imag < 0.0:  # not `!= 0.0`: a NaN rate takes the real branch
             partner = merged.get((power, rate.conjugate()))
@@ -316,16 +325,16 @@ def format_signal(x: Signal) -> str:
         return "0"
     atoms: list[tuple[float, str]] = []
     for amp, power, rate in x.modes:
-        if rate.imag < 0.0:
-            continue  # folded into the conjugate partner
-        if rate.imag == 0.0:
-            atoms.append((amp.real, _atom(power, rate.real, None)))
-        else:
+        if rate.imag > 0.0:
             c, s = 2.0 * amp.real, -2.0 * amp.imag
             if c != 0.0:
                 atoms.append((c, _atom(power, rate.real, ("cos", rate.imag))))
             if s != 0.0:
                 atoms.append((s, _atom(power, rate.real, ("sin", rate.imag))))
+        elif not rate.imag < 0.0:
+            # a real rate, or the NaN rate, which `_real_modes` also takes as
+            # real; a rate below the axis is folded into its conjugate partner
+            atoms.append((amp.real, _atom(power, rate.real, None)))
     terms = []
     for coeff, body in atoms:
         mag = fmt_number(abs(coeff))

@@ -82,10 +82,12 @@ def test_non_finite_data_rejected(field):
 
 
 def test_non_finite_frequency_reaches_the_field_check():
-    # a NaN rate is neither real nor above nor below the axis: Signal keeps
-    # the modes rather than dropping them, so the problem can name the field
+    # every NaN rate is one key, taken as real, and Signal keeps its mode
+    # even where the amplitudes cancel (sine), so the problem can name the field
     with pytest.raises(ValueError, match=r"^input\.past: "):
         _problem_with(PiecewiseInput(Signal.cosine(np.nan), Signal.ramp()))
+    with pytest.raises(ValueError, match=r"^input\.future: "):
+        _problem_with(PiecewiseInput(Signal.ramp(), Signal.sine(np.nan)))
 
 
 class TestAssemble:

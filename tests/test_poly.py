@@ -3,14 +3,19 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ltivp import poly
 from ltivp.errors import NotStrictlyProper
 from ltivp.poly import (
     Polynomial,
     RationalFunction,
+    _cluster,
+    _compact,
+    _link_components,
+    _merge_radius,
     add_coeffs,
     partial_fractions,
     poly_roots,
@@ -41,6 +46,77 @@ _pair_site = st.builds(
 conjugate_closed_roots = st.lists(st.one_of(_real_site, _pair_site), min_size=1).map(
     _first_sites
 )
+
+
+_gap = st.floats(-9, -2).map(lambda e: 10.0**e)  # straddles the m = 2 radius, 4.7e-7
+_near_pair_site = st.builds(lambda x, g: [x - g / 2, x + g / 2], st.floats(-3, 3), _gap)
+_chain_site = st.builds(
+    lambda x, step, k: [x + j * step for j in range(k)],
+    st.floats(-3, 3),
+    st.floats(-4, 0).map(lambda e: 10.0**e),
+    st.integers(3, 8),
+)
+_near_mirror_site = st.builds(
+    lambda re, im, g: [complex(re, im), complex(re, -im), complex(re + g, im), complex(re + g, -im)],
+    st.floats(-3, 3),
+    st.floats(0, 3, exclude_min=True),
+    _gap,
+)
+#: Companion-matrix eigenvalues of polynomials whose roots cluster: m-fold
+#: roots and pairs (m <= 4), near pairs, evenly spaced chains and near
+#: conjugate mirrors, degree at most 16.
+clustered_eigenvalues = (
+    st.lists(
+        st.one_of(_real_site, _pair_site, _near_pair_site, _chain_site, _near_mirror_site),
+        min_size=1,
+    )
+    .map(_first_sites)
+    .map(lambda roots: np.roots(poly_from_roots(roots).coeffs[::-1]))
+)
+
+
+def cluster_every_round(roots):
+    """`_cluster` without its screen: every round m = N .. 2 runs its linkage passes."""
+    groups = [[complex(r)] for r in roots]
+    for m in range(len(groups), 1, -1):
+        radius = _merge_radius(m)
+        while True:
+            comps = _link_components(groups, radius)
+            merge = [
+                len(c) > 1
+                and sum(len(groups[i]) for i in c) >= m
+                and _compact([z for i in c for z in groups[i]], radius)
+                for c in comps
+            ]
+            if not any(merge):
+                break
+            new_groups = []
+            for comp, merging in zip(comps, merge):
+                if merging:
+                    new_groups.append([z for i in comp for z in groups[i]])
+                else:
+                    new_groups.extend(groups[i] for i in comp)
+            groups = new_groups
+    return groups
+
+
+def multiple_root_cases():
+    """(polynomial, its distinct roots, their common multiplicity k).
+
+    k-fold real roots for k = 2..10 and k-fold conjugate pairs for k = 2..5:
+    from k = 6 on the diameter cap is stricter than single linkage, as k
+    points on a circle of radius r link at neighbour distance 2 r sin(pi / k).
+    """
+    cases = []
+    for k in range(2, 11):
+        cases.append((Polynomial([comb(k, j) for j in range(k + 1)]), [-1.0], k))
+        cases.append((poly_from_roots([-0.7] * k), [-0.7], k))
+    for k in range(2, 6):
+        p = Polynomial.one()
+        for _ in range(k):
+            p = p * Polynomial([5.0, 2.0, 1.0])
+        cases.append((p, [complex(-1, -2), complex(-1, 2)], k))
+    return cases
 
 
 def coeff_gap(p, q):
@@ -132,20 +208,7 @@ class TestRoots:
         assert abs(root - (-1.0)) < 1e-9
 
     def test_quadruple_root(self):
-        # k-fold real roots for k = 2..10 and k-fold conjugate pairs for
-        # k = 2..5: from k = 6 on the diameter cap is stricter than single
-        # linkage, as k points on a circle of radius r link at neighbour
-        # distance 2 r sin(pi / k)
-        cases = []
-        for k in range(2, 11):
-            cases.append((Polynomial([comb(k, j) for j in range(k + 1)]), [-1.0], k))
-            cases.append((poly_from_roots([-0.7] * k), [-0.7], k))
-        for k in range(2, 6):
-            p = Polynomial.one()
-            for _ in range(k):
-                p = p * Polynomial([5.0, 2.0, 1.0])
-            cases.append((p, [complex(-1, -2), complex(-1, 2)], k))
-        for p, true, k in cases:
+        for p, true, k in multiple_root_cases():
             roots = poly_roots(p)
             assert [m for _, m in roots] == [k] * len(true), (p, roots)
             for (root, _), want in zip(roots, true):
@@ -227,6 +290,52 @@ class TestRoots:
             scale = 1.0 + max(abs(c) for c in p.coeffs)
             for root, _ in poly_roots(p):
                 assert abs(np.polyval(p.coeffs[::-1], root)) <= 1e-7 * scale
+
+
+class TestClusterScreen:
+    """`_cluster` skips the rounds that cannot merge, and only those."""
+
+    @settings(max_examples=500)
+    @given(clustered_eigenvalues)
+    def test_screen_is_exact(self, raw):
+        assert _cluster(raw) == cluster_every_round(raw)
+
+    @pytest.mark.parametrize("coeffs", [[4.0], [2.0, 1.0]], ids=["N=0", "N=1"])
+    def test_fewer_than_two_eigenvalues(self, coeffs):
+        raw = np.roots(coeffs[::-1])
+        assert _cluster(raw) == cluster_every_round(raw) == [[complex(r)] for r in raw]
+
+    @pytest.fixture
+    def link_calls(self, monkeypatch):
+        calls = []
+
+        def counting(groups, radius):
+            calls.append(len(groups))
+            return _link_components(groups, radius)
+
+        monkeypatch.setattr(poly, "_link_components", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "poles",
+        [
+            list(np.linspace(-4.0, -0.5, 16)),
+            [c + s * 0.5e-4 for c in np.linspace(-4.0, -0.5, 8) for s in (-1, 1)],
+        ],
+        ids=["evenly-spaced", "near-pairs"],
+    )
+    def test_distinct_roots_run_no_round(self, link_calls, poles):
+        roots = poly_roots(poly_from_roots(poles))
+        assert [m for _, m in roots] == [1] * 16
+        assert link_calls == []
+
+    def test_multiple_roots_still_run_their_round(self, link_calls):
+        cases = [(Polynomial([1.0, 3.0, 3.0, 1.0]), [-1.0], 3)] + multiple_root_cases()
+        for p, true, k in cases:
+            link_calls.clear()
+            roots = poly_roots(p)
+            assert [m for _, m in roots] == [k] * len(true), (p, roots)
+            assert link_calls, p
 
 
 class TestPartialFractions:

@@ -48,6 +48,16 @@ class TestConstruction:
         s = Signal([(1.0, 0, complex(-2.0, -0.0)), (complex(1.0, -0.0), 0, -2.0)])
         assert repr(s) == "Signal([((2+0j), 0, (-2+0j))])"
 
+    def test_nan_rates_share_a_mode(self):
+        # NaN never equals itself: only a shared key makes the two halves of
+        # the pair one mode, printed once
+        s = Signal.cosine(float("nan"))
+        assert len(s.modes) == 1
+        assert str(s) == "exp(nan*t)"
+        # kept where its amplitudes cancel, so the NaN still reaches the
+        # checks that name its field
+        assert str(Signal.sine(float("nan"))) == "0*exp(nan*t)"
+
     def test_exact_cancellation_drops_mode(self):
         s = Signal([(1.0, 1, -1.0), (-1.0, 1, -1.0)])
         assert s.is_zero
