@@ -25,7 +25,7 @@ import numpy as np
 
 from . import poly
 from .ic import ConditionPair, map_previous_to_first
-from .ode import LinearODE, ic_vectors, require_finite, transfer_function
+from .ode import LinearODE, require_finite, transfer_function
 from .poly import Polynomial, RationalFunction, partial_fractions
 from .signal import PiecewiseInput, Signal, condition_stack, from_partial_fractions, laplace_transform
 
@@ -49,25 +49,32 @@ class IVProblem:
             require_finite(f"input.{side}", [z for m in segment.modes for z in (m.amp, m.rate)])
 
 
-def assemble(ode: LinearODE, Us: RationalFunction, y_stack, u_stack) -> RationalFunction:
-    """Y(s) from the input transform and one coherent stack pair.
+def assemble(ode: LinearODE, G: RationalFunction, Us: RationalFunction, y_stack, u_stack) -> RationalFunction:
+    """Y(s) from the transfer function G = transfer_function(ode), the input
+    transform and one coherent stack pair.
 
-    Strictly proper by construction: deg B <= n and U(s) is strictly proper,
-    so deg(B U_num) < n + deg U_den, and deg c <= n - 1.
+    G is passed in so that a solve forms A(s) once, for root finding and
+    here.  Strictly proper by construction: deg B <= n and U(s) is strictly
+    proper, so deg(B U_num) < n + deg U_den, and deg c <= n - 1.
     """
     n = ode.n
-    y_stack = np.asarray(y_stack, dtype=float).reshape(-1)
-    u_stack = np.asarray(u_stack, dtype=float).reshape(-1)
-    if len(y_stack) != n or len(u_stack) != n:
+    y = np.asarray(y_stack, dtype=float).reshape(-1).tolist()
+    u = np.asarray(u_stack, dtype=float).reshape(-1).tolist()
+    if len(y) != n or len(u) != n:
         raise ValueError(f"condition stacks must have length {n}")
-    V_y, V_u = ic_vectors(ode)
-    # V_y Y - V_u U, one stack entry at a time (not a matrix product, which
-    # rounds differently)
-    ic_num = np.zeros(n)
-    for j in range(n):
-        ic_num += V_y[:, j] * y_stack[j]
-        ic_num -= V_u[:, j] * u_stack[j]
-    G = transfer_function(ode)
+    # V_y Y - V_u U over the upper triangle of V_y = T(1, a_1..a_{n-1}) and
+    # V_u = T(b_0..b_{n-1}) (ode.ic_vectors), one stack entry at a time in
+    # column order: not a matrix product, which rounds differently.  Below
+    # the diagonal every term is a zero that leaves the +0.0 start unchanged.
+    a = [1.0] + ode.a.tolist()
+    b = ode.b.tolist()
+    ic_num = []
+    for i in range(n):
+        acc = 0.0
+        for j in range(i, n):
+            acc += a[j - i] * y[j]
+            acc -= b[j - i] * u[j]
+        ic_num.append(acc)
     # single common denominator A(s)·den(U) keeps the degree minimal
     return RationalFunction(
         G.num * Us.num + Polynomial(ic_num) * Us.den,
@@ -97,9 +104,11 @@ def solve_ivp(problem: IVProblem) -> Signal:
     Every term of the expansion is kept as computed, with no threshold, so
     the result is exactly linear in the conditions and the input.
     """
+    G = transfer_function(problem.ode)
     known = [(rate, max(powers) + 1) for rate, powers in problem.input.future.by_rate().items()]
-    poles = poly.poly_roots(transfer_function(problem.ode).den, known)
-    return from_partial_fractions(partial_fractions(solution_transform(problem), poles))
+    poles = poly.poly_roots(G.den, known)
+    Ys = assemble(problem.ode, G, laplace_transform(problem.input.future), *stated_conditions(problem))
+    return from_partial_fractions(partial_fractions(Ys, poles))
 
 
 def solution_transform(problem: IVProblem) -> RationalFunction:
@@ -110,4 +119,4 @@ def solution_transform(problem: IVProblem) -> RationalFunction:
     sides is the one thing that does not.
     """
     Us = laplace_transform(problem.input.future)
-    return assemble(problem.ode, Us, *stated_conditions(problem))
+    return assemble(problem.ode, transfer_function(problem.ode), Us, *stated_conditions(problem))

@@ -12,6 +12,13 @@ conjugate pairs, and each mean is summed in an order that conjugation
 preserves.  So the poles of an expansion pair up by exact key, and
 `signal.from_partial_fractions` makes the closed form exactly real from
 them; nothing here casts a complex result to real by tolerance.
+
+The loops over poles and coefficients (root products, Taylor shifts, the
+triangular solve of `partial_fractions`) run on Python floats and complex
+numbers: the lists hold one to a few dozen entries, where numpy's
+per-element overhead costs more than the arithmetic.  Python's complex `*`,
+`+` and `-` round exactly as numpy's do; its `/` does not, so each division
+that produces a coefficient stays a numpy complex128 division.
 """
 
 from __future__ import annotations
@@ -120,8 +127,12 @@ class RationalFunction:
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         lead = den.coeffs[-1]
-        self.num = num * (1.0 / lead)
-        self.den = den * (1.0 / lead)
+        if lead == 1.0:
+            # x * (1 / 1) is x: keep the (immutable) polynomials as given
+            self.num, self.den = num, den
+        else:
+            self.num = num * (1.0 / lead)
+            self.den = den * (1.0 / lead)
 
     def max_cross_error(self, other: "RationalFunction") -> float:
         """Largest coefficient of num1*den2 - num2*den1, relative to the
@@ -255,6 +266,28 @@ def _centroid(group: list[complex]) -> complex:
     return sum(sorted(group, key=lambda z: (z.real, abs(z.imag), z.imag))) / len(group)
 
 
+def _companion_roots(coeffs: tuple[float, ...]) -> np.ndarray:
+    """The eigenvalues of the companion matrix, exactly as `np.roots` returns them.
+
+    `coeffs` lowest degree first, the last nonzero.  Zero low-order
+    coefficients are stripped and their roots appended as exact zeros; the
+    first row is -p[1:] / p[0] of the highest-first coefficients.  The values,
+    their order and the dtype (float when every eigenvalue is real) are those
+    of `np.roots`, without its generic checks and array reshaping.
+    """
+    zeros = 0
+    while coeffs[zeros] == 0.0:
+        zeros += 1
+    *rest, lead = coeffs[zeros:]
+    if rest:
+        A = np.eye(len(rest), k=-1)
+        A[0] = [-c / lead for c in reversed(rest)]
+        roots = np.linalg.eigvals(A)
+    else:
+        roots = np.array([])
+    return np.concatenate((roots, np.zeros(zeros, roots.dtype))) if zeros else roots
+
+
 def poly_roots(p: Polynomial, known=()) -> list[tuple[complex, int]]:
     """All roots of p * prod (s - r)^k over the known (r, k) pairs, as
     (root, multiplicity) pairs.
@@ -273,7 +306,7 @@ def poly_roots(p: Polynomial, known=()) -> list[tuple[complex, int]]:
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
-    raw = np.roots(np.asarray(p.coeffs[::-1], dtype=float))
+    raw = _companion_roots(p.coeffs)
     found = [(_centroid(g), len(g)) for g in _cluster(raw)]
     pairs = []
     for rate, k in known:
@@ -306,59 +339,68 @@ def add_coeffs(a, b) -> np.ndarray:
     return out
 
 
-def root_product(roots, lead: complex = 1.0, count: int | None = None) -> np.ndarray:
+def root_product(roots, lead: complex = 1.0) -> np.ndarray:
     """Coefficients of lead * prod (s - r) over the roots, lowest degree first.
 
     Complex, one linear factor at a time in the order given; pass a root k
-    times for a factor (s - r)^k.  With `count`, only the lowest `count`
-    coefficients are formed (zero-padded past the degree): a coefficient
-    never depends on the ones above it, so they are those of the full
-    product.
+    times for a factor (s - r)^k.
     """
-    size = len(roots) + 1 if count is None else count
-    acc = [complex(lead)] + [0j] * (size - 1)
+    return np.array(_root_product([complex(r) for r in roots], complex(lead), len(roots) + 1))
+
+
+def _root_product(roots: list[complex], lead: complex, count: int) -> list[complex]:
+    """The lowest `count` coefficients of lead * prod (s - r), zero-padded past
+    the degree: a coefficient never depends on the ones above it, so they
+    are those of the full product."""
+    acc = [lead] + [0j] * (count - 1)
     for top, r in enumerate(roots, start=1):
-        r = complex(r)
         # times (s - r), top down: acc[k] <- acc[k-1] - r acc[k]
-        for k in range(min(top, size - 1), 0, -1):
+        for k in range(min(top, count - 1), 0, -1):
             acc[k] = acc[k - 1] - r * acc[k]
         acc[0] *= -r
-    return np.array(acc)
+    return acc
 
 
-def _taylor(coeffs, x0: complex, count: int) -> np.ndarray:
+def _taylor(coeffs: list[complex], x0: complex, count: int) -> list[complex]:
     """First `count` Taylor coefficients of the polynomial about x0."""
-    work = np.array(coeffs, dtype=complex)
-    out = np.zeros(count, dtype=complex)
+    work = list(coeffs)
+    out = []
     for k in range(min(count, len(work))):
         # synthetic division by (s - x0) in place: the remainder p(x0) lands
-        # in work[0] and is the next coefficient, the quotient in work[1:]
-        acc = 0.0 + 0.0j
-        for i in range(len(work) - 1, -1, -1):
+        # in work[k] and is the next coefficient, the quotient in work[k+1:]
+        acc = 0j
+        for i in range(len(work) - 1, k - 1, -1):
             acc = acc * x0 + work[i]
             work[i] = acc
-        out[k] = acc
-        work = work[1:]
-    return out
+        out.append(acc)
+    return out + [0j] * (count - len(out))
 
 
 def partial_fractions(rf: RationalFunction, poles) -> tuple[PartialFractionTerm, ...]:
     """Expand a strictly proper rational function into coeff/(s - pole)**order terms.
 
     `poles` are the denominator's (pole, multiplicity) pairs, as `poly_roots`
-    returns them; the denominator is not root-found here.  Each pole p of
-    multiplicity m contributes terms of order 1..m whose coefficients come
-    from the Taylor expansion of num / [den / (s - p)^m] at p, so repeated
-    poles need no symbolic differentiation.  The Taylor coefficients of
-    den / (s - p)^m are those of lead * prod (sigma - (q - p)) in
-    sigma = s - p over the other poles q, formed from the pole differences
+    returns them, each pole once; the denominator is not root-found here.
+    Each pole p of multiplicity m contributes terms of order 1..m whose
+    coefficients come from the Taylor expansion of num / [den / (s - p)^m]
+    at p, so repeated poles need no symbolic differentiation.  The Taylor
+    coefficients of den / (s - p)^m are those of lead * prod (sigma - (q - p))
+    in sigma = s - p over the other poles q, formed from the pole differences
     rather than by dividing den down, which loses accuracy when poles sit
-    close together.  Every transform the package assembles is strictly
+    close together; at a simple pole that is the one product
+    lead * prod (p - q).  Every transform the package assembles is strictly
     proper; any other input would have a polynomial part, whose time-domain
     counterpart is impulsive, and raises NotStrictlyProper.  Coefficients
     at conjugate poles are returned as computed, which is conjugate only up
     to rounding; `signal.from_partial_fractions` pairs them by exact pole
     and makes them exactly conjugate.
+
+    The per-pole arithmetic runs on Python complex scalars: the lists are a
+    few to a few dozen entries long, where numpy's per-element overhead
+    costs more than the arithmetic.  Python's complex `*`, `+` and `-` round
+    as numpy's do, but its `/` does not (numpy multiplies by a reciprocal),
+    so the one division per coefficient stays a numpy complex128 division
+    and the coefficients are numpy complex128 scalars.
     """
     num, den = rf.num, rf.den
     if num.degree >= den.degree:
@@ -368,18 +410,40 @@ def partial_fractions(rf: RationalFunction, poles) -> tuple[PartialFractionTerm,
         )
     if sum(m for _, m in poles) != den.degree:
         raise ValueError(f"pole multiplicities must sum to the denominator's degree {den.degree}")
+    seen = set()
+    for pole, _ in poles:
+        if pole in seen:
+            raise ValueError(f"pole {pole} appears twice in the pole list; give it once with its multiplicity")
+        seen.add(pole)
     if num.is_zero:
         return ()
+    lead = complex(den.coeffs[-1])
+    num_c = [complex(c) for c in num.coeffs]
+    flat = [complex(q) for q, mq in poles for _ in range(mq)]
     terms: list[PartialFractionTerm] = []
-    for i, (pole, mult) in enumerate(poles):
-        others = [q - pole for j, (q, mq) in enumerate(poles) if j != i for _ in range(mq)]
-        den_t = root_product(others, den.coeffs[-1], mult)
-        num_t = _taylor(num.coeffs, pole, mult)
-        ratio = np.zeros(mult, dtype=complex)
+    start = 0
+    for pole, mult in poles:
+        p = complex(pole)
+        others = [q - p for q in flat[:start]] + [q - p for q in flat[start + mult :]]
+        start += mult
+        if mult == 1:
+            den0 = lead
+            for r in others:
+                den0 *= -r
+            value = 0j
+            for c in reversed(num_c):
+                value = value * p + c
+            terms.append(PartialFractionTerm(pole, 1, np.complex128(value) / np.complex128(den0)))
+            continue
+        den_t = _root_product(others, lead, mult)
+        num_t = _taylor(num_c, p, mult)
+        den0 = np.complex128(den_t[0])
+        ratio: list[complex] = []
         for j in range(mult):
             acc = num_t[j]
             for k in range(1, j + 1):
                 acc -= den_t[k] * ratio[j - k]
-            ratio[j] = acc / den_t[0]
-        terms.extend(PartialFractionTerm(pole, mult - j, ratio[j]) for j in range(mult))
+            coeff = np.complex128(acc) / den0
+            terms.append(PartialFractionTerm(pole, mult - j, coeff))
+            ratio.append(complex(coeff))
     return tuple(terms)

@@ -16,7 +16,7 @@ from ltivp.ic import (
     recover_state,
 )
 from ltivp.laplace import IVProblem, assemble, solve_ivp
-from ltivp.ode import LinearODE, ic_vectors
+from ltivp.ode import LinearODE, ic_vectors, transfer_function
 from ltivp.poly import Polynomial, RationalFunction
 from ltivp.realization import (
     check_equivalence,
@@ -74,7 +74,7 @@ def test_criterion_2_condition_mapping(capfd):
     y_first = map_previous_to_first(SWITCH_ODE, [1.0, 0.0], [0.0, 1.0], [1.0, 0.0])
     map_err = float(np.max(np.abs(y_first - np.array([5.0, -1.0]))))
     Us = RationalFunction(Polynomial.one(), Polynomial([0.0, 0.0, 1.0]))
-    ys_err = assemble(SWITCH_ODE, Us, y_first, [1.0, 0.0]).max_cross_error(SWITCH_YS)
+    ys_err = assemble(SWITCH_ODE, transfer_function(SWITCH_ODE), Us, y_first, [1.0, 0.0]).max_cross_error(SWITCH_YS)
     ok = map_err <= 1e-12 and ys_err <= 1e-9
     report(
         capfd, 2, ok,
@@ -96,8 +96,9 @@ def test_criterion_3_condition_form_interchangeability(capfd):
         u_first = rng.uniform(-3, 3, n)
         Us = laplace_transform(random_signal(rng))
         y_first = map_previous_to_first(ode, y_prev, u_prev, u_first)
-        gap = assemble(ode, Us, y_prev, u_prev).max_cross_error(
-            assemble(ode, Us, y_first, u_first)
+        G = transfer_function(ode)
+        gap = assemble(ode, G, Us, y_prev, u_prev).max_cross_error(
+            assemble(ode, G, Us, y_first, u_first)
         )
         worst = max(worst, gap)
     elapsed = time.perf_counter() - start

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -14,7 +14,7 @@ from ltivp.laplace import (
     solution_transform,
     solve_ivp,
 )
-from ltivp.ode import LinearODE
+from ltivp.ode import LinearODE, ic_vectors, transfer_function
 from ltivp.poly import Polynomial, RationalFunction, partial_fractions, poly_roots
 from ltivp.realization import StateSpace
 from ltivp.signal import PiecewiseInput, Signal, condition_stack, from_partial_fractions, laplace_transform
@@ -90,22 +90,52 @@ def test_non_finite_frequency_reaches_the_field_check():
         _problem_with(PiecewiseInput(Signal.ramp(), Signal.sine(np.nan)))
 
 
+def assemble_by_columns(ode, Us, y_stack, u_stack):
+    """`assemble` with V_y Y - V_u U summed as whole columns of numpy arrays."""
+    V_y, V_u = ic_vectors(ode)
+    ic_num = np.zeros(ode.n)
+    for j in range(ode.n):
+        ic_num += V_y[:, j] * y_stack[j]
+        ic_num -= V_u[:, j] * u_stack[j]
+    G = transfer_function(ode)
+    return RationalFunction(G.num * Us.num + Polynomial(ic_num) * Us.den, G.den * Us.den)
+
+
+@st.composite
+def assemble_inputs(draw):
+    n = draw(st.integers(1, 16))
+    # signed zeros are common draws: rest conditions and zero coefficients
+    value = st.one_of(st.floats(-3, 3), st.sampled_from([0.0, -0.0]))
+    values = st.lists(value, min_size=n, max_size=n)
+    b = draw(st.lists(value, min_size=n + 1, max_size=n + 1).filter(any))
+    Us = draw(st.sampled_from([RAMP_US, laplace_transform(Signal.zero()), laplace_transform(Signal.cosine(2.0))]))
+    return LinearODE(draw(values), b), Us, draw(values), draw(values)
+
+
 class TestAssemble:
+    @settings(max_examples=300)
+    @given(assemble_inputs())
+    def test_matches_column_form(self, args):
+        ode, Us, y, u = args
+        got = assemble(ode, transfer_function(ode), Us, y, u)
+        # repr pins every coefficient, the sign of a zero included
+        assert repr(got) == repr(assemble_by_columns(ode, Us, y, u))
+
     def test_first_form_reproduces_known_transform(self):
-        Ys = assemble(EX2, RAMP_US, [5.0, -1.0], [1.0, 0.0])
+        Ys = assemble(EX2, transfer_function(EX2), RAMP_US, [5.0, -1.0], [1.0, 0.0])
         assert Ys.max_cross_error(SWITCH_YS) <= 1e-9
 
     def test_previous_form_same_transform(self):
-        Ys = assemble(EX2, RAMP_US, [1.0, 0.0], [0.0, 1.0])
+        Ys = assemble(EX2, transfer_function(EX2), RAMP_US, [1.0, 0.0], [0.0, 1.0])
         assert Ys.max_cross_error(SWITCH_YS) <= 1e-9
 
     def test_zero_everything(self):
-        Ys = assemble(EX2, laplace_transform(Signal.zero()), [0.0, 0.0], [0.0, 0.0])
+        Ys = assemble(EX2, transfer_function(EX2), laplace_transform(Signal.zero()), [0.0, 0.0], [0.0, 0.0])
         assert Ys.num.is_zero
 
     def test_stack_length_validation(self):
         with pytest.raises(ValueError):
-            assemble(EX2, RAMP_US, [1.0], [0.0, 1.0])
+            assemble(EX2, transfer_function(EX2), RAMP_US, [1.0], [0.0, 1.0])
 
 
 def invert(rf: RationalFunction) -> Signal:
@@ -225,6 +255,7 @@ class TestSolveIVP:
             ode = random_ode(rng, nmax=5)
             Ys = assemble(
                 ode,
+                transfer_function(ode),
                 laplace_transform(random_signal(rng)),
                 rng.uniform(-2, 2, ode.n),
                 rng.uniform(-2, 2, ode.n),
@@ -407,8 +438,9 @@ def test_interchangeability_random():
         u_first = rng.uniform(-3, 3, n)
         Us = laplace_transform(random_signal(rng))
         y_first = map_previous_to_first(ode, y_prev, u_prev, u_first)
-        gap = assemble(ode, Us, y_prev, u_prev).max_cross_error(
-            assemble(ode, Us, y_first, u_first)
+        G = transfer_function(ode)
+        gap = assemble(ode, G, Us, y_prev, u_prev).max_cross_error(
+            assemble(ode, G, Us, y_first, u_first)
         )
         worst = max(worst, gap)
     assert worst <= 1e-8

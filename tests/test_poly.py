@@ -10,9 +10,11 @@ from numpy.testing import assert_allclose
 from ltivp import poly
 from ltivp.errors import NotStrictlyProper
 from ltivp.poly import (
+    PartialFractionTerm,
     Polynomial,
     RationalFunction,
     _cluster,
+    _companion_roots,
     _compact,
     _link_components,
     _merge_radius,
@@ -98,6 +100,82 @@ def cluster_every_round(roots):
                     new_groups.extend(groups[i] for i in comp)
             groups = new_groups
     return groups
+
+
+def root_product_array(roots, lead, count):
+    """The lowest `count` coefficients of lead * prod (s - r), as a complex array."""
+    acc = [complex(lead)] + [0j] * (count - 1)
+    for top, r in enumerate(roots, start=1):
+        r = complex(r)
+        for k in range(min(top, count - 1), 0, -1):
+            acc[k] = acc[k - 1] - r * acc[k]
+        acc[0] *= -r
+    return np.array(acc)
+
+
+def taylor_array(coeffs, x0, count):
+    """Taylor coefficients about x0 by synthetic division on a complex array."""
+    work = np.array(coeffs, dtype=complex)
+    out = np.zeros(count, dtype=complex)
+    for k in range(min(count, len(work))):
+        acc = 0.0 + 0.0j
+        for i in range(len(work) - 1, -1, -1):
+            acc = acc * x0 + work[i]
+            work[i] = acc
+        out[k] = acc
+        work = work[1:]
+    return out
+
+
+def partial_fractions_array(rf, poles):
+    """`partial_fractions` with numpy complex128 arrays for the Taylor
+    coefficients and the triangular solve, element by element."""
+    num, den = rf.num, rf.den
+    terms = []
+    for i, (pole, mult) in enumerate(poles):
+        others = [q - pole for j, (q, mq) in enumerate(poles) if j != i for _ in range(mq)]
+        den_t = root_product_array(others, den.coeffs[-1], mult)
+        num_t = taylor_array(num.coeffs, pole, mult)
+        ratio = np.zeros(mult, dtype=complex)
+        for j in range(mult):
+            acc = num_t[j]
+            for k in range(1, j + 1):
+                acc -= den_t[k] * ratio[j - k]
+            ratio[j] = acc / den_t[0]
+        terms.extend(PartialFractionTerm(pole, mult - j, ratio[j]) for j in range(mult))
+    return tuple(terms)
+
+
+def _distinct_sites(sites, max_degree=16):
+    """(pole, multiplicity) pairs of the sites, each pole once, skipping any
+    site that would repeat a pole or pass max_degree."""
+    pairs, seen = [], set()
+    for site in sites:
+        if any(q in seen for q, _ in site) or sum(m for _, m in pairs + site) > max_degree:
+            continue
+        pairs += site
+        seen.update(q for q, _ in site)
+    return pairs
+
+
+_mult = st.integers(1, 4)
+# coordinates on a 1e-3 grid: poles that differ are not so close that the
+# products of their differences underflow
+_coord = st.integers(-3000, 3000).map(lambda k: k / 1000)
+_imag = st.integers(1, 3000).map(lambda k: k / 1000)
+#: Pole lists as `poly_roots` returns them: distinct complex poles of
+#: multiplicity 1-4, real and in conjugate pairs, at 0 and 1e-3 apart.
+pole_lists = st.lists(
+    st.one_of(
+        st.builds(lambda x, m: [(complex(x), m)], _coord, _mult),
+        st.builds(
+            lambda re, im, m: [(complex(re, im), m), (complex(re, -im), m)], _coord, _imag, _mult
+        ),
+        st.builds(lambda m: [(0j, m)], _mult),
+        st.builds(lambda x, m, k: [(complex(x), m), (complex(x + 1e-3), k)], _coord, _mult, _mult),
+    ),
+    min_size=1,
+).map(_distinct_sites)
 
 
 def multiple_root_cases():
@@ -336,6 +414,68 @@ class TestClusterScreen:
             roots = poly_roots(p)
             assert [m for _, m in roots] == [k] * len(true), (p, roots)
             assert link_calls, p
+
+
+class TestCompanionRoots:
+    """`_companion_roots` is `np.roots` on the reversed coefficients, bit for bit."""
+
+    @staticmethod
+    def assert_as_np_roots(coeffs):
+        got, want = _companion_roots(tuple(coeffs)), np.roots(np.asarray(coeffs[::-1], dtype=float))
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [4.0],
+            [2.0, 1.0],
+            [0.0, 3.0],
+            [5.0, 6.0, 1.0],
+            [5.0, 2.0, 1.0],
+            [0.0, 6.0, 5.0, 1.0],
+            [0.0, 0.0, 6.0, 5.0, 1.0],
+            [0.0, 0.0, 5.0, 2.0, 1.0],
+            [0.0, 0.0, 2.0],
+        ],
+        ids=["constant", "degree-1", "only-zero", "real", "complex", "one-zero", "two-zeros",
+             "two-zeros-complex", "zeros-only"],
+    )
+    def test_cases(self, coeffs):
+        self.assert_as_np_roots(coeffs)
+
+    def test_real_spectrum_is_a_float_array(self):
+        assert _companion_roots((0.0, 6.0, 5.0, 1.0)).dtype == np.float64
+        assert _companion_roots((5.0, 2.0, 1.0)).dtype == np.complex128
+
+    @given(
+        st.integers(0, 2),
+        st.lists(st.floats(-5, 5), min_size=0, max_size=16),
+        # a leading coefficient away from 0 keeps the companion matrix finite
+        st.one_of(st.floats(-5, -0.1), st.floats(0.1, 5)),
+    )
+    def test_random(self, zeros, middle, lead):
+        self.assert_as_np_roots([0.0] * zeros + middle + [lead])
+
+
+class TestPartialFractionsScalar:
+    """`partial_fractions` on Python scalars returns the array form's terms, bit for bit."""
+
+    @settings(max_examples=300)
+    @given(pole_lists, st.lists(st.floats(-3, 3), min_size=1, max_size=16))
+    def test_matches_array_form(self, poles, num):
+        den = poly_from_roots([q for q, m in poles for _ in range(m)])
+        rf = RationalFunction(Polynomial(num[: den.degree]), den)
+        if rf.num.is_zero:
+            return
+        got, want = partial_fractions(rf, poles), partial_fractions_array(rf, poles)
+        assert got == want
+        # repr also pins the sign of every zero and the coefficient type
+        assert repr(got) == repr(want)
+
+    def test_repeated_pole_rejected(self):
+        rf = RationalFunction(Polynomial.one(), poly_from_roots([-1.0, -1.0]))
+        with pytest.raises(ValueError, match=r"^pole -1\.0 appears twice"):
+            partial_fractions(rf, [(-1.0, 1), (-1.0, 1)])
 
 
 class TestPartialFractions:
