@@ -3,15 +3,19 @@
 Coefficients are stored lowest degree first.  Rational functions keep their
 denominator monic so that coefficient comparisons are meaningful.  Root
 finding goes through the companion matrix of the one factor whose roots are
-unknown, A(s); clustered eigenvalues are merged into multiple roots, each
-the mean of its cluster.  Factors known exactly (the input's rates) are
-added as they are, and partial fraction expansion takes the pole list.  The
-roots are closed under conjugation exactly, by construction and with no
-tolerance: the real eigensolver returns complex eigenvalues as exact
-conjugate pairs, and each mean is summed in an order that conjugation
-preserves.  So the poles of an expansion pair up by exact key, and
-`signal.from_partial_fractions` makes the closed form exactly real from
-them; nothing here casts a complex result to real by tolerance.
+unknown, A(s).  Its eigenvalues are clustered by single linkage on one
+matrix of pairwise distances, one round per candidate multiplicity m from
+the largest down: a chain of at least m eigenvalues linked within the
+radius for m, and at most twice it across, merges into one multiple root,
+the mean of its cluster, and a merged root is final.  Factors known
+exactly (the input's rates) are added as they are, and partial fraction
+expansion takes the pole list.  The roots are closed under conjugation
+exactly, by construction and with no tolerance: the real eigensolver
+returns complex eigenvalues as exact conjugate pairs, and each mean is
+summed in an order that conjugation preserves.  So the poles of an
+expansion pair up by exact key, and `signal.from_partial_fractions` makes
+the closed form exactly real from them; nothing here casts a complex
+result to real by tolerance.
 
 The loops over poles and coefficients (root products, Taylor shifts, the
 triangular solve of `partial_fractions`) run on Python floats and complex
@@ -128,11 +132,12 @@ class RationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
         lead = den.coeffs[-1]
         if lead == 1.0:
-            # x * (1 / 1) is x: keep the (immutable) polynomials as given
+            # x / 1 is x: keep the (immutable) polynomials as given
             self.num, self.den = num, den
         else:
-            self.num = num * (1.0 / lead)
-            self.den = den * (1.0 / lead)
+            # lead / lead is exactly 1; lead * (1 / lead) need not be
+            self.num = Polynomial([c / lead for c in num.coeffs])
+            self.den = Polynomial([c / lead for c in den.coeffs])
 
     def max_cross_error(self, other: "RationalFunction") -> float:
         """Largest coefficient of num1*den2 - num2*den1, relative to the
@@ -173,86 +178,59 @@ def _merge_radius(m: int) -> float:
 def _cluster(roots: np.ndarray) -> list[list[complex]]:
     """Group companion-matrix eigenvalues into candidate multiple roots.
 
-    The eigenvalues of an exact multiplicity-m root scatter like eps**(1/m),
-    so each candidate multiplicity gets its own radius: working from the
-    largest plausible multiplicity downward, connected components (single
-    linkage among group centroids) holding at least m eigenvalues merge into
-    one group, provided their diameter is at most twice the radius (relative
-    to 1 + their largest modulus), since single linkage alone chains evenly
-    spaced distinct roots.  Genuinely distinct roots merge only within the
-    m = 2 radius of each other; roots packed more tightly than the radius for
-    their count are indistinguishable from a true multiple root in double
-    precision and are treated as one.
+    The eigenvalues of an exact m-fold root scatter like eps**(1/m), so each
+    candidate multiplicity m has its own radius, and the rounds run from the
+    largest m down.  A round links two eigenvalues not yet merged when their
+    distance is at most the radius times 1 + the larger modulus; a connected
+    component of at least m of them becomes one group if its diameter is at
+    most twice the radius (times 1 + its largest modulus), since single
+    linkage alone chains evenly spaced distinct roots.  A merged group is
+    final.  Roots packed more tightly than the radius for their count are
+    indistinguishable from a true multiple root in double precision.
 
-    One pass over the pairwise distances first screens out every round that
-    cannot merge.  A merging component holds at least m eigenvalues whose
-    diameter is within 2 radius (1 + their largest modulus), so each of them
-    has at least m - 1 others within 2 radius (1 + the largest modulus of
-    all); where no eigenvalue does, the round's first linkage pass would
-    merge nothing and leave the groups as they are.  The distances and
-    moduli are computed as `_compact` computes them, so skipping such a
-    round is exact: the groups, and their order, are those of running every
-    round.
+    One matrix of pairwise distances serves the links, the diameters and a
+    screen: each eigenvalue of a merging component has m - 1 others within
+    2 radius (1 + the largest modulus of all), so a round where none has is
+    skipped.
     """
-    groups: list[list[complex]] = [[complex(r)] for r in roots]
-    if len(groups) < 2:
-        return groups
-    # reach[k]: the smallest distance from any eigenvalue to its k-th nearest other
+    points = roots.astype(complex, copy=False).tolist()
+    if len(points) < 2:
+        return [[z] for z in points]
     dist = np.abs(roots[:, None] - roots)
-    dist.sort()
-    reach = dist.min(axis=0).tolist()
-    top = float(np.abs(roots).max())
-    for m in range(len(groups), 1, -1):
+    mod = np.abs(roots)
+    # reach[k]: the smallest distance from any eigenvalue to its k-th nearest other
+    reach = np.sort(dist).min(axis=0).tolist()
+    top = float(mod.max())
+    groups: list[list[complex]] = []
+    free = list(range(len(points)))
+    for m in range(len(points), 1, -1):
         radius = _merge_radius(m)
         if reach[m - 1] > 2.0 * radius * (1.0 + top):
             continue
-        while True:
-            comps = _link_components(groups, radius)
-            merge = [
-                len(c) > 1
-                and sum(len(groups[i]) for i in c) >= m
-                and _compact([z for i in c for z in groups[i]], radius)
-                for c in comps
-            ]
-            if not any(merge):
-                break
-            new_groups: list[list[complex]] = []
-            for comp, merging in zip(comps, merge):
-                if merging:
-                    new_groups.append([z for i in comp for z in groups[i]])
-                else:
-                    new_groups.extend(groups[i] for i in comp)
-            groups = new_groups
-    return groups
+        near = (dist <= radius * (1.0 + np.maximum.outer(mod, mod))).tolist()
+        rest: list[int] = []
+        for comp in _components(free, near):
+            if len(comp) >= m and dist[np.ix_(comp, comp)].max() <= 2.0 * radius * (1.0 + mod[comp].max()):
+                groups.append([points[i] for i in comp])
+            else:
+                rest += comp
+        free = rest
+    return groups + [[points[i]] for i in free]
 
 
-def _compact(points: list[complex], radius: float) -> bool:
-    z = np.array(points)
-    diameter = np.abs(z[:, None] - z[None, :]).max()
-    return diameter <= 2.0 * radius * (1.0 + np.abs(z).max())
-
-
-def _link_components(groups: list[list[complex]], radius: float) -> list[list[int]]:
-    """Connected components of groups whose centroids sit within radius."""
-    centers = [_centroid(g) for g in groups]
-    seen = [False] * len(groups)
+def _components(free: list[int], near: list[list[bool]]) -> list[list[int]]:
+    """Connected components of the indices `free` under the links near[i][j]."""
+    left = set(free)
     comps: list[list[int]] = []
-    for start in range(len(groups)):
-        if seen[start]:
+    for start in free:
+        if start not in left:
             continue
+        left.remove(start)
         comp = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for j in range(len(groups)):
-                if seen[j]:
-                    continue
-                scale = 1.0 + max(abs(centers[i]), abs(centers[j]))
-                if abs(centers[i] - centers[j]) <= radius * scale:
-                    seen[j] = True
-                    comp.append(j)
-                    frontier.append(j)
+        for i in comp:  # grows as the component is found
+            linked = [j for j in left if near[i][j]]
+            left.difference_update(linked)
+            comp += linked
         comps.append(comp)
     return comps
 
@@ -376,6 +354,10 @@ def _taylor(coeffs: list[complex], x0: complex, count: int) -> list[complex]:
     return out + [0j] * (count - len(out))
 
 
+def _underflow(pole) -> ValueError:
+    return ValueError(f"pole {pole}: the product of its distances to the other poles underflows to zero")
+
+
 def partial_fractions(rf: RationalFunction, poles) -> tuple[PartialFractionTerm, ...]:
     """Expand a strictly proper rational function into coeff/(s - pole)**order terms.
 
@@ -401,6 +383,10 @@ def partial_fractions(rf: RationalFunction, poles) -> tuple[PartialFractionTerm,
     as numpy's do, but its `/` does not (numpy multiplies by a reciprocal),
     so the one division per coefficient stays a numpy complex128 division
     and the coefficients are numpy complex128 scalars.
+
+    Distinct poles can still be so close, or so small, that the product of
+    a pole's distances to the others underflows to zero; that raises a
+    ValueError naming the pole rather than dividing by it.
     """
     num, den = rf.num, rf.den
     if num.degree >= den.degree:
@@ -430,6 +416,8 @@ def partial_fractions(rf: RationalFunction, poles) -> tuple[PartialFractionTerm,
             den0 = lead
             for r in others:
                 den0 *= -r
+            if den0 == 0:
+                raise _underflow(pole)
             value = 0j
             for c in reversed(num_c):
                 value = value * p + c
@@ -437,6 +425,8 @@ def partial_fractions(rf: RationalFunction, poles) -> tuple[PartialFractionTerm,
             continue
         den_t = _root_product(others, lead, mult)
         num_t = _taylor(num_c, p, mult)
+        if den_t[0] == 0:
+            raise _underflow(pole)
         den0 = np.complex128(den_t[0])
         ratio: list[complex] = []
         for j in range(mult):

@@ -167,8 +167,6 @@ def parse_signal_spec(spec, field: str) -> Signal:
     """One signal segment: number, sugar string, or explicit mode list."""
     if isinstance(spec, str):
         return _parse_sugar(spec, field)
-    if isinstance(spec, dict) and "modes" in spec:
-        spec = spec["modes"]
     if isinstance(spec, list):
         return _parse_modes(spec, field)
     return Signal.constant(_number(spec, field, "a number, a sugar string, or a mode list"))

@@ -352,6 +352,21 @@ def test_pole_zero_cancellation_leaves_a_rounding_sized_mode():
     assert all(abs(amp) <= 1e3 * np.finfo(float).eps * total for amp in cancelled)
 
 
+def test_underflowing_pole_product_raises():
+    # the input's double poles at 0 and 1e-170 are distinct, but the squared
+    # distance between them is below the smallest double: the closed form
+    # raises naming the pole, and the state-space route stays finite
+    problem = IVProblem(
+        LinearODE([3, 2], [0, 0, 1]),
+        PiecewiseInput(Signal.zero(), Signal([(1, 1, 0j), (-1, 1, 1e-170)])),
+        ConditionPair.first([0, 0]),
+    )
+    with pytest.raises(ValueError, match=r"^pole 0j: the product of its distances to the other poles underflows to zero$"):
+        solve_ivp(problem)
+    traj = simulate_ivp(problem, np.linspace(0.1, 3.0, 30))
+    assert np.all(np.isfinite(traj.outputs)) and np.all(np.isfinite(traj.states))
+
+
 def random_problem(seed: int) -> IVProblem:
     """A `random_ode` with random past and future inputs and previous conditions."""
     rng = np.random.default_rng(seed)

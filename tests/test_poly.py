@@ -13,10 +13,10 @@ from ltivp.poly import (
     PartialFractionTerm,
     Polynomial,
     RationalFunction,
+    _centroid,
     _cluster,
     _companion_roots,
-    _compact,
-    _link_components,
+    _components,
     _merge_radius,
     add_coeffs,
     partial_fractions,
@@ -78,16 +78,18 @@ clustered_eigenvalues = (
 
 
 def cluster_every_round(roots):
-    """`_cluster` without its screen: every round m = N .. 2 runs its linkage passes."""
+    """The clustering before merged roots were final, with no screen: every
+    round m = N .. 2 relinks the group centroids until nothing merges, and a
+    merged group can grow in a later round."""
     groups = [[complex(r)] for r in roots]
     for m in range(len(groups), 1, -1):
         radius = _merge_radius(m)
         while True:
-            comps = _link_components(groups, radius)
+            comps = _centroid_components(groups, radius)
             merge = [
                 len(c) > 1
                 and sum(len(groups[i]) for i in c) >= m
-                and _compact([z for i in c for z in groups[i]], radius)
+                and _diameter_within([z for i in c for z in groups[i]], radius)
                 for c in comps
             ]
             if not any(merge):
@@ -100,6 +102,51 @@ def cluster_every_round(roots):
                     new_groups.extend(groups[i] for i in comp)
             groups = new_groups
     return groups
+
+
+def _diameter_within(points, radius):
+    z = np.array(points)
+    diameter = np.abs(z[:, None] - z[None, :]).max()
+    return diameter <= 2.0 * radius * (1.0 + np.abs(z).max())
+
+
+def _centroid_components(groups, radius):
+    """Connected components of groups whose centroids sit within radius."""
+    centers = [_centroid(g) for g in groups]
+    seen = [False] * len(groups)
+    comps = []
+    for start in range(len(groups)):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        frontier = [start]
+        while frontier:
+            i = frontier.pop()
+            for j in range(len(groups)):
+                if seen[j]:
+                    continue
+                scale = 1.0 + max(abs(centers[i]), abs(centers[j]))
+                if abs(centers[i] - centers[j]) <= radius * scale:
+                    seen[j] = True
+                    comp.append(j)
+                    frontier.append(j)
+        comps.append(comp)
+    return comps
+
+
+def _by_value(z):
+    return (z.real, z.imag)
+
+
+def grouping(groups):
+    """The groups as a multiset of multisets: neither order reaches `poly_roots`."""
+    return Counter(tuple(sorted(g, key=_by_value)) for g in groups)
+
+
+def cluster_roots(groups):
+    """The sorted (root, multiplicity) pairs that `poly_roots` takes from the groups."""
+    return sorted(((_centroid(g), len(g)) for g in groups), key=lambda rm: (*_by_value(rm[0]), rm[1]))
 
 
 def root_product_array(roots, lead, count):
@@ -260,6 +307,12 @@ class TestRationalFunction:
         assert rf.den.coeffs == (0.5, 1.0)
         assert rf.num.coeffs == (0.5,)
 
+    @pytest.mark.parametrize("lead", [49.0, 98.0, 103.0, 239.0])
+    def test_denominator_exactly_monic(self, lead):
+        # lead * (1 / lead) is 0.9999999999999999 for these; lead / lead is 1
+        rf = RationalFunction(Polynomial.one(), Polynomial([1.0, lead]))
+        assert rf.den.coeffs[-1] == 1.0
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(Polynomial.one(), Polynomial.zero())
@@ -371,12 +424,14 @@ class TestRoots:
 
 
 class TestClusterScreen:
-    """`_cluster` skips the rounds that cannot merge, and only those."""
+    """`_cluster` groups as the every-round clustering does, and runs no round that cannot merge."""
 
     @settings(max_examples=500)
     @given(clustered_eigenvalues)
     def test_screen_is_exact(self, raw):
-        assert _cluster(raw) == cluster_every_round(raw)
+        got, want = _cluster(raw), cluster_every_round(raw)
+        assert grouping(got) == grouping(want)
+        assert cluster_roots(got) == cluster_roots(want)
 
     @pytest.mark.parametrize("coeffs", [[4.0], [2.0, 1.0]], ids=["N=0", "N=1"])
     def test_fewer_than_two_eigenvalues(self, coeffs):
@@ -387,11 +442,11 @@ class TestClusterScreen:
     def link_calls(self, monkeypatch):
         calls = []
 
-        def counting(groups, radius):
-            calls.append(len(groups))
-            return _link_components(groups, radius)
+        def counting(free, near):
+            calls.append(len(free))
+            return _components(free, near)
 
-        monkeypatch.setattr(poly, "_link_components", counting)
+        monkeypatch.setattr(poly, "_components", counting)
         return calls
 
     @pytest.mark.parametrize(
@@ -476,6 +531,17 @@ class TestPartialFractionsScalar:
         rf = RationalFunction(Polynomial.one(), poly_from_roots([-1.0, -1.0]))
         with pytest.raises(ValueError, match=r"^pole -1\.0 appears twice"):
             partial_fractions(rf, [(-1.0, 1), (-1.0, 1)])
+
+    @pytest.mark.parametrize(
+        "poles",
+        [[(1e-170j, 1), (-1e-170j, 1), (1e-160, 1)], [(0.0, 2), (1e-170, 2)]],
+        ids=["simple", "multiple"],
+    )
+    def test_underflowing_pole_product_rejected(self, poles):
+        # the distances are nonzero, but their product is below the smallest double
+        rf = RationalFunction(Polynomial.one(), Polynomial([0.0] * sum(m for _, m in poles) + [1.0]))
+        with pytest.raises(ValueError, match=r"^pole [^\n]*: the product of its distances to the other poles underflows to zero$"):
+            partial_fractions(rf, poles)
 
 
 class TestPartialFractions:

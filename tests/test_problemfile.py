@@ -224,6 +224,70 @@ def test_non_finite_number_rejected(case, tmp_path, capsys):
     assert err == f"error: {info.value}\n"
 
 
+MODE = {"amp": 1, "rate": -1}
+
+# case -> (problem data, extra `ltivp solve` arguments, the one-line error)
+REJECTED = {
+    "top level not an object": ([base_data()], [], "problem file must contain a JSON object"),
+    "empty ode.a": (base_data(ode={"a": [], "b": [1]}), [], "ode.a: expected a nonempty array of numbers"),
+    "ode not an object": (base_data(ode=[6, 5]), [], "ode: expected an object with fields a, b"),
+    "conditions not an object": (
+        base_data(conditions=[1, 0]),
+        [],
+        "conditions: expected an object with fields kind, y",
+    ),
+    "input not an object": (base_data(input=["cos 1", "ramp"]), [], "input: expected an object with fields past, future"),
+    "ssr not an object": (base_data(ssr=[[0, -5], [1, -6]]), [], "ssr: expected an object with fields A, B, C, D"),
+    "all-zero ode.b": (
+        base_data(ode={"a": [6, 5], "b": [0, 0, 0]}),
+        [],
+        "ode: all input coefficients are zero; the input never acts",
+    ),
+    "sugar argument not a number": (
+        base_data(input={"past": "cos x", "future": "ramp"}),
+        [],
+        "input.past: 'x' is not a number",
+    ),
+    "unknown mode field": (
+        base_data(input={"past": "zero", "future": [{**MODE, "phase": 0}]}),
+        [],
+        "input.future[0]: unknown fields phase",
+    ),
+    "mode neither object nor array": (
+        base_data(input={"past": "zero", "future": ["exp -1"]}),
+        [],
+        "input.future[0]: expected an object with amp/power/rate or an [amp, power, rate] array",
+    ),
+    "unpaired complex mode": (
+        base_data(input={"past": "zero", "future": [{"amp": 1, "rate": [-1, 2]}]}),
+        [],
+        "input.future: modes at rate (-1+2j) are not conjugate-closed ((1+0j) vs None)",
+    ),
+    "modes wrapper": (
+        base_data(input={"past": "zero", "future": {"modes": [MODE]}}),
+        [],
+        "input.future: expected a number, a sugar string, or a mode list, got {'modes': [{'amp': 1, 'rate': -1}]}",
+    ),
+    "empty ssr.A": (base_data(ssr={**SSR, "A": []}), [], "ssr.A: expected a nonempty array of rows"),
+    "--grid 0": (base_data(), ["--grid", "0", "--csv", "out.csv"], "--grid must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED)
+def test_rejection_is_one_line(case, tmp_path, capsys, monkeypatch):
+    data, args, message = REJECTED[case]
+    assert "\n" not in message
+    if not args:
+        with pytest.raises(ProblemFileError) as info:
+            parse_problem(data)
+        assert str(info.value) == message
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    assert main(["solve", "bad.json", *args]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 class TestLoadProblem:
     def test_reads_shipped_examples(self):
         for name in ("ramp_input", "input_switch", "step_from_rest"):
