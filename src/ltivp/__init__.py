@@ -9,7 +9,7 @@ The names below are the documented surface (see README); everything else
 is importable from its submodule.
 """
 
-from .errors import NotObservable, NotStrictlyProper, ProblemFileError
+from .errors import NotObservable, ProblemFileError
 from .ic import (
     ConditionPair,
     ContinuityReport,
@@ -31,7 +31,6 @@ __all__ = [
     "IVProblem",
     "LinearODE",
     "NotObservable",
-    "NotStrictlyProper",
     "PiecewiseInput",
     "ProblemFileError",
     "Signal",

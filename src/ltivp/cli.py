@@ -1,9 +1,11 @@
 """Command-line frontend.
 
 Subcommands: solve, map-ic, realize, check, simulate.  All take a problem
-file (JSON, see problemfile).  Equality thresholds used by `check` default
-to 1e-9 and can be overridden with the LTIVP_TOL environment variable, which
-no other subcommand reads.
+file (JSON, see problemfile) and --echo.  `solve` prints the closed form
+only; `simulate` is the one subcommand that runs the state-space route, and
+the only one with --csv, --grid and --horizon.  Equality thresholds used by
+`check` default to 1e-9 and can be overridden with the LTIVP_TOL environment
+variable, which no other subcommand reads.
 Output is deterministic: the same file always prints the same bytes.
 """
 
@@ -58,30 +60,6 @@ def _env_tol() -> float:
     return tol
 
 
-def _resolve_grid(args, parsed: ParsedProblem) -> np.ndarray:
-    horizon = args.horizon if args.horizon is not None else parsed.problem.horizon
-    if horizon is None:
-        raise ProblemFileError(
-            "no horizon: set \"horizon\" in the file or pass --horizon"
-        )
-    if not 0.0 < horizon < np.inf:
-        raise ProblemFileError("--horizon must be a finite positive number")
-    points = args.grid if args.grid is not None else (parsed.grid_points or 200)
-    if points < 1:
-        raise ProblemFileError("--grid must be at least 1")
-    return default_grid(horizon, points)
-
-
-def _write_csv(traj, path: str) -> None:
-    text = traj.csv_text()
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    print(f"wrote {len(traj.times)} rows to {path}")
-
-
 def cmd_solve(parsed: ParsedProblem, args) -> int:
     problem = parsed.problem
     print(f"ode: {problem.ode}")
@@ -92,8 +70,6 @@ def cmd_solve(parsed: ParsedProblem, args) -> int:
         print(f"U(0+) = {_vec(u_first)}")
     print(f"Y(s) = {laplace.solution_transform(problem)}")
     print(f"y(t) = {format_signal(laplace.solve_ivp(problem))}")
-    if args.csv is not None:
-        _write_csv(simulate_ivp(problem, _resolve_grid(args, parsed)), args.csv)
     return 0
 
 
@@ -174,11 +150,27 @@ def cmd_check(parsed: ParsedProblem, args) -> int:
 
 
 def cmd_simulate(parsed: ParsedProblem, args) -> int:
-    traj = simulate_ivp(parsed.problem, _resolve_grid(args, parsed))
-    if args.csv is not None:
-        _write_csv(traj, args.csv)
-    else:
-        sys.stdout.write(traj.csv_text())
+    horizon = args.horizon if args.horizon is not None else parsed.problem.horizon
+    if horizon is None:
+        raise ProblemFileError(
+            "no horizon: set \"horizon\" in the file or pass --horizon"
+        )
+    if not 0.0 < horizon < np.inf:
+        raise ProblemFileError("--horizon must be a finite positive number")
+    points = args.grid if args.grid is not None else (parsed.grid_points or 200)
+    if points < 1:
+        raise ProblemFileError("--grid must be at least 1")
+    traj = simulate_ivp(parsed.problem, default_grid(horizon, points))
+    text = traj.csv_text()
+    if args.csv is None:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.csv, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.csv}: {exc.strerror or exc}") from exc
+    print(f"wrote {len(traj.times)} rows to {args.csv}")
     return 0
 
 
@@ -190,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_, csv=False, grid=False):
+    def add(name, func, help_):
         p = sub.add_parser(name, help=help_)
         p.add_argument("file", help="problem file (JSON)")
         p.add_argument(
@@ -198,21 +190,17 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="re-emit the parsed problem as canonical JSON and exit",
         )
-        if csv:
-            p.add_argument("--csv", metavar="PATH", help="write trajectory CSV here")
-        if grid:
-            p.add_argument("--grid", type=int, metavar="N", help="number of grid points")
-            p.add_argument(
-                "--horizon", type=float, metavar="T", help="simulation end time"
-            )
         p.set_defaults(func=func)
         return p
 
-    add("solve", cmd_solve, "closed-form solution via the Laplace transform", csv=True, grid=True)
+    add("solve", cmd_solve, "closed-form solution via the Laplace transform")
     add("map-ic", cmd_map_ic, "map previous conditions at 0- to first conditions at 0+")
     add("realize", cmd_realize, "observable-canonical state-space realization")
     add("check", cmd_check, "ODE/state-space equivalence and continuity report")
-    add("simulate", cmd_simulate, "state-space trajectory as CSV", csv=True, grid=True)
+    simulate = add("simulate", cmd_simulate, "state-space trajectory as CSV")
+    simulate.add_argument("--csv", metavar="PATH", help="write trajectory CSV here")
+    simulate.add_argument("--grid", type=int, metavar="N", help="number of grid points")
+    simulate.add_argument("--horizon", type=float, metavar="T", help="simulation end time")
     return parser
 
 

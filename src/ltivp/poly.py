@@ -31,8 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotStrictlyProper
-
 _EPS = float(np.finfo(float).eps)
 
 class Polynomial:
@@ -372,7 +370,7 @@ def partial_fractions(rf: RationalFunction, poles) -> tuple[PartialFractionTerm,
     close together; at a simple pole that is the one product
     lead * prod (p - q).  Every transform the package assembles is strictly
     proper; any other input would have a polynomial part, whose time-domain
-    counterpart is impulsive, and raises NotStrictlyProper.  Coefficients
+    counterpart is impulsive, and raises ValueError.  Coefficients
     at conjugate poles are returned as computed, which is conjugate only up
     to rounding; `signal.from_partial_fractions` pairs them by exact pole
     and makes them exactly conjugate.
@@ -390,7 +388,7 @@ def partial_fractions(rf: RationalFunction, poles) -> tuple[PartialFractionTerm,
     """
     num, den = rf.num, rf.den
     if num.degree >= den.degree:
-        raise NotStrictlyProper(
+        raise ValueError(
             "expansion has a polynomial part; the time-domain counterpart "
             "is impulsive and outside the exponential-polynomial class"
         )

@@ -1,6 +1,6 @@
 """Reading and writing problem files.
 
-A problem file is a single JSON object:
+A problem file is a single JSON object in UTF-8:
 
     {
       "ode": {"a": [6, 5], "b": [0, 1, 1]},
@@ -13,12 +13,13 @@ A problem file is a single JSON object:
 
 Condition stacks are listed highest derivative first.  A signal spec is a
 number (constant), one of the sugar strings "zero" / "step" / "ramp" /
-"cos W" / "sin W" / "exp A", or an explicit mode list
-[{"amp": ..., "power": k, "rate": ...}] where amp and rate are numbers or
-[re, im] pairs.  "input" may also be the single string "step" for the
-Heaviside input (zero past, unit future).  horizon, grid, and ssr are
-optional; input.past may be omitted only for first-form conditions.  Every
-number must be finite; a bad one gets a one-line error naming its field.
+"cos W" / "sin W" / "exp A", or an explicit mode list whose every entry is
+an object {"amp": ..., "power": k, "rate": ...}, where amp and rate are
+numbers or [re, im] pairs and power defaults to 0.  "input" may also be the
+single string "step" for the Heaviside input (zero past, unit future).
+horizon, grid, and ssr are optional; input.past may be omitted only for
+first-form conditions.  Every number must be finite; a bad one gets a
+one-line error naming its field.
 """
 
 from __future__ import annotations
@@ -45,10 +46,12 @@ class ParsedProblem:
 
 def load_problem(path: str) -> ParsedProblem:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"cannot read {path}: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise ProblemFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -207,26 +210,14 @@ def _parse_modes(entries: list, field: str) -> Signal:
     modes = []
     for i, entry in enumerate(entries):
         label = f"{field}[{i}]"
-        if isinstance(entry, dict):
-            extra = set(entry) - {"amp", "power", "rate"}
-            if extra:
-                raise ProblemFileError(f"{label}: unknown fields {', '.join(sorted(extra))}")
-            amp = _complex_entry(_require(entry, f"{label}.amp"), f"{label}.amp")
-            rate = _complex_entry(_require(entry, f"{label}.rate"), f"{label}.rate")
-            power = entry.get("power", 0)
-        elif isinstance(entry, list) and len(entry) in (3, 4):
-            amp = _complex_entry(entry[0], f"{label}[0]")
-            power = entry[1]
-            if len(entry) == 3:
-                rate = _complex_entry(entry[2], f"{label}[2]")
-            else:
-                rate = complex(
-                    _number(entry[2], f"{label}[2]"), _number(entry[3], f"{label}[3]")
-                )
-        else:
-            raise ProblemFileError(
-                f"{label}: expected an object with amp/power/rate or an [amp, power, rate] array"
-            )
+        if not isinstance(entry, dict):
+            raise ProblemFileError(f"{label}: expected an object with fields amp, power, rate")
+        extra = set(entry) - {"amp", "power", "rate"}
+        if extra:
+            raise ProblemFileError(f"{label}: unknown fields {', '.join(sorted(extra))}")
+        amp = _complex_entry(_require(entry, f"{label}.amp"), f"{label}.amp")
+        rate = _complex_entry(_require(entry, f"{label}.rate"), f"{label}.rate")
+        power = entry.get("power", 0)
         if not isinstance(power, int) or isinstance(power, bool) or power < 0:
             raise ProblemFileError(f"{label}: power must be a nonnegative integer")
         modes.append((amp, power, rate))

@@ -47,19 +47,20 @@ class TestSolve:
         assert out.splitlines()[0] == "ode: y'' + 6*y' + 5*y = u' + u"
         assert any(line.startswith("y(t) = ") for line in out.splitlines())
 
-    def test_csv_written(self, capsys, tmp_path):
-        target = tmp_path / "out.csv"
-        code, out, _ = run(capsys, "solve", RAMP, "--csv", str(target), "--grid", "10")
-        assert code == 0
-        assert f"wrote 10 rows to {target}" in out
-        lines = target.read_text().strip().split("\n")
-        assert lines[0] == "t,y,x1,x2"
-        assert len(lines) == 11
-
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "solve", SWITCH)
         _, second, _ = run(capsys, "solve", SWITCH)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "flags", [["--csv", "x.csv"], ["--grid", "0"], ["--horizon", "-1"]], ids=" ".join
+    )
+    def test_state_space_flags_are_usage_errors(self, capsys, flags):
+        # solve runs the closed form only; --csv, --grid and --horizon are simulate's
+        with pytest.raises(SystemExit) as info:
+            main(["solve", RAMP, *flags])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMapIC:
@@ -161,6 +162,15 @@ class TestSimulate:
         assert len(lines) == 4
         assert lines[3].startswith("3,")
 
+    def test_csv_written(self, capsys, tmp_path):
+        target = tmp_path / "out.csv"
+        code, out, err = run(capsys, "simulate", RAMP, "--csv", str(target), "--grid", "10")
+        assert code == 0 and err == ""
+        assert out == f"wrote 10 rows to {target}\n"
+        _, stdout_csv, _ = run(capsys, "simulate", RAMP, "--grid", "10")
+        assert target.read_text() == stdout_csv
+        assert len(stdout_csv.splitlines()) == 11
+
     def test_matches_closed_form(self, capsys):
         _, out, _ = run(capsys, "simulate", RAMP, "--grid", "50")
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
@@ -245,12 +255,19 @@ class TestErrors:
         assert code == 1
         assert "nope.json" in err
 
-    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    @pytest.mark.parametrize("command", ["simulate"])
     def test_unwritable_csv(self, capsys, tmp_path, command):
         target = tmp_path / "missing" / "x.csv"
         code, _, err = run(capsys, command, RAMP, "--csv", str(target))
         assert code == 1
         assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: cannot read {path}: not UTF-8 text\n"
 
     def test_overflowing_trajectory(self, capsys, tmp_path):
         path = write_problem(

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ltivp import poly
-from ltivp.errors import NotStrictlyProper
 from ltivp.ic import ConditionPair, map_previous_to_first
 from ltivp.laplace import (
     IVProblem,
@@ -161,7 +160,7 @@ class TestInvert:
         assert_allclose(y(ts), -0.25 * np.exp(-ts) - 0.75 * np.exp(-5 * ts), atol=1e-12)
 
     def test_improper_raises(self):
-        with pytest.raises(NotStrictlyProper):
+        with pytest.raises(ValueError, match="polynomial part"):
             invert(RationalFunction(Polynomial([1.0, 1.0]), Polynomial([1.0, 1.0])))
 
 

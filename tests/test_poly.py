@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ltivp import poly
-from ltivp.errors import NotStrictlyProper
 from ltivp.poly import (
     PartialFractionTerm,
     Polynomial,
@@ -568,7 +567,7 @@ class TestPartialFractions:
     def test_improper_gets_polynomial_part(self):
         # s^2 / (s + 1) = s - 1 + 1 / (s + 1): the polynomial part is refused
         rf = RationalFunction(Polynomial([0.0, 0.0, 1.0]), Polynomial([1.0, 1.0]))
-        with pytest.raises(NotStrictlyProper, match="polynomial part"):
+        with pytest.raises(ValueError, match="polynomial part"):
             partial_fractions(rf, poly_roots(rf.den))
 
     def test_poles_must_cover_the_denominator(self):

@@ -62,18 +62,20 @@ class TestParseSignalSpec:
         assert got == Signal.cosine(2.0)
 
     def test_mode_arrays(self):
-        three = parse_signal_spec([[1.0, 0, -2.0]], "x")
-        four = parse_signal_spec([[0.5, 0, 0.0, 3.0], [0.5, 0, 0.0, -3.0]], "x")
-        assert three == Signal.exponential(-2.0)
-        assert four == Signal.cosine(3.0)
+        # a mode is an object; [amp, power, rate] and [amp, power, re, im] are refused
+        for modes in ([[1.0, 0, -2.0]], [{"amp": 1.0, "rate": -1.0}, [0.5, 0, 0.0, 3.0]]):
+            i = len(modes) - 1
+            with pytest.raises(ProblemFileError) as info:
+                parse_signal_spec(modes, "x")
+            assert str(info.value) == f"x[{i}]: expected an object with fields amp, power, rate"
 
     def test_rejects_garbage(self):
         with pytest.raises(ProblemFileError, match="unknown signal"):
             parse_signal_spec("sawtooth", "input.future")
         with pytest.raises(ProblemFileError, match="cos"):
             parse_signal_spec("cos", "x")
-        with pytest.raises(ProblemFileError, match="power"):
-            parse_signal_spec([[1.0, -1, 0.0]], "x")
+        with pytest.raises(ProblemFileError, match=r"x\[0\]: power"):
+            parse_signal_spec([{"amp": 1.0, "power": -1, "rate": 0.0}], "x")
         with pytest.raises(ProblemFileError, match=r"x\[0\].amp"):
             parse_signal_spec([{"power": 0, "rate": 0.0}], "x")
         with pytest.raises(ProblemFileError):
@@ -204,7 +206,6 @@ NON_FINITE = {
     "input.future[0].rate[1]": {
         "input": {"past": "zero", "future": [{"amp": 1, "rate": [0, INF]}]}
     },
-    "input.future[0][3]": {"input": {"past": "zero", "future": [[1, 0, -1, NAN]]}},
     "ssr.D": {"ssr": {**SSR, "D": NAN}},
     "ssr.A[1][0]": {"ssr": {**SSR, "A": [[0, -5], [INF, -6]]}},
 }
@@ -226,7 +227,7 @@ def test_non_finite_number_rejected(case, tmp_path, capsys):
 
 MODE = {"amp": 1, "rate": -1}
 
-# case -> (problem data, extra `ltivp solve` arguments, the one-line error)
+# case -> (problem data, `ltivp simulate` flags or none for `ltivp solve`, the one-line error)
 REJECTED = {
     "top level not an object": ([base_data()], [], "problem file must contain a JSON object"),
     "empty ode.a": (base_data(ode={"a": [], "b": [1]}), [], "ode.a: expected a nonempty array of numbers"),
@@ -256,7 +257,12 @@ REJECTED = {
     "mode neither object nor array": (
         base_data(input={"past": "zero", "future": ["exp -1"]}),
         [],
-        "input.future[0]: expected an object with amp/power/rate or an [amp, power, rate] array",
+        "input.future[0]: expected an object with fields amp, power, rate",
+    ),
+    "mode as [amp, power, re, im] array": (
+        base_data(input={"past": "zero", "future": [[1, 0, -1, NAN]]}),
+        [],
+        "input.future[0]: expected an object with fields amp, power, rate",
     ),
     "unpaired complex mode": (
         base_data(input={"past": "zero", "future": [{"amp": 1, "rate": [-1, 2]}]}),
@@ -283,7 +289,9 @@ def test_rejection_is_one_line(case, tmp_path, capsys, monkeypatch):
         assert str(info.value) == message
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.json").write_text(json.dumps(data))
-    assert main(["solve", "bad.json", *args]) == 1
+    # the flags are simulate's; a file's own faults show through solve
+    command = "simulate" if args else "solve"
+    assert main([command, "bad.json", *args]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out.csv").exists()
 

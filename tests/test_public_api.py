@@ -1,11 +1,13 @@
-"""The top-level namespace is what README documents, README's example runs,
-and every function the benchmark's tracer wraps still exists."""
+"""The top-level namespace is what README documents, README's example and
+command-line transcript run as shown, and every function the benchmark's
+tracer wraps still exists."""
 
 import importlib
 import re
 from pathlib import Path
 
 import ltivp
+from ltivp.cli import main
 from ltivp.problemfile import load_problem
 from ltivp.simulate import default_grid
 
@@ -21,6 +23,16 @@ def library_use_block() -> str:
 
 def test_readme_library_use_runs():
     exec(compile(library_use_block(), str(README), "exec"), {})
+
+
+def test_readme_command_line_transcript_matches(capsys):
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```text\n(.*?)```", section, re.S).group(1)
+    runs = re.findall(r"^\$ ltivp (\S+) (\S+)\n(.*?)(?=^\$ |\Z)", block, re.S | re.M)
+    assert len(runs) == 3
+    for sub, path, printed in runs:
+        assert main([sub, str(ROOT / path)]) == 0
+        assert capsys.readouterr().out == printed.rstrip("\n") + "\n", f"ltivp {sub} {path}"
 
 
 def test_all_names_resolve():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from ltivp.errors import NotStrictlyProper
 from ltivp.poly import PartialFractionTerm, Polynomial, RationalFunction, partial_fractions
 from ltivp.signal import (
     PiecewiseInput,
@@ -283,7 +282,7 @@ class TestInverse:
     def test_polynomial_part_raises(self):
         # (s + 1) / (s + 1) = 1 is an impulse; it never reaches from_partial_fractions
         rf = RationalFunction(Polynomial([1.0, 1.0]), Polynomial([1.0, 1.0]))
-        with pytest.raises(NotStrictlyProper, match="polynomial part"):
+        with pytest.raises(ValueError, match="polynomial part"):
             partial_fractions(rf, [(-1.0, 1)])
 
     def test_unpaired_complex_pole_rejected(self):
