@@ -6,10 +6,11 @@ The transform of the full response is assembled in one shot,
 
 where c(s) is the polynomial with coefficient vector V_y Y - V_u U (lowest
 degree first): Y and U are the output and input derivative stacks at t = 0
-and V_y, V_u the stack-weight matrices of ode.ic_vectors.  Either side of
-the switch works: V_y M = V_u with M the Markov matrix, so previous-condition
-stacks (0-) and first-condition stacks (0+) produce the same Y(s), and no
-conversion step is needed as long as the two stacks come from the same side.
+and V_y, V_u the stack-weight matrices defined in the ode module docstring.
+Either side of the switch works: V_y M = V_u with M the Markov matrix, so
+previous-condition stacks (0-) and first-condition stacks (0+) produce the
+same Y(s), and no conversion step is needed as long as the two stacks come
+from the same side.
 
 Y(s) is inverted by partial fractions over its poles.  Only A(s) is
 root-found: the input's poles are known exactly from its signal (a rate
@@ -63,9 +64,10 @@ def assemble(ode: LinearODE, G: RationalFunction, Us: RationalFunction, y_stack,
     if len(y) != n or len(u) != n:
         raise ValueError(f"condition stacks must have length {n}")
     # V_y Y - V_u U over the upper triangle of V_y = T(1, a_1..a_{n-1}) and
-    # V_u = T(b_0..b_{n-1}) (ode.ic_vectors), one stack entry at a time in
-    # column order: not a matrix product, which rounds differently.  Below
-    # the diagonal every term is a zero that leaves the +0.0 start unchanged.
+    # V_u = T(b_0..b_{n-1}) (see the ode module docstring), one stack entry
+    # at a time in column order: not a matrix product, which rounds
+    # differently.  Below the diagonal every term is a zero that leaves the
+    # +0.0 start unchanged.
     a = [1.0] + ode.a.tolist()
     b = ode.b.tolist()
     ic_num = []

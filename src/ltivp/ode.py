@@ -122,13 +122,3 @@ def _toeplitz(h: np.ndarray) -> np.ndarray:
         M[i, i:] = h[: n - i]
     return M
 
-
-def ic_vectors(ode: LinearODE) -> tuple[np.ndarray, np.ndarray]:
-    """The stack-weight matrices (V_y, V_u) = (T(1, a_1..a_{n-1}), T(b_0..b_{n-1})).
-
-    Column j of V_y holds the coefficients, lowest degree first, of
-    s^j + a_1 s^(j-1) + ... + a_j, which weights y^(n-1-j)(0); V_u does the
-    same with the b coefficients for the input stack.
-    """
-    a_full = np.concatenate(([1.0], ode.a))
-    return _toeplitz(a_full[: ode.n]), _toeplitz(ode.b[: ode.n])

@@ -76,13 +76,15 @@ def markov_parameters(ode: LinearODE, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be at least 1")
     n = ode.n
-    h = np.zeros(count)
+    a = ode.a.tolist()
+    b = ode.b.tolist()
+    h = []
     for j in range(count):
-        acc = ode.b[j] if j <= n else 0.0
+        acc = b[j] if j <= n else 0.0
         for i in range(1, min(j, n) + 1):
-            acc -= ode.a[i - 1] * h[j - i]
-        h[j] = acc
-    return h
+            acc -= a[i - 1] * h[j - i]
+        h.append(acc)
+    return np.array(h)
 
 
 def markov_matrix(ode: LinearODE) -> np.ndarray:

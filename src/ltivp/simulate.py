@@ -7,9 +7,11 @@ by the companion matrix of D, and the whole real block advances by expm of
 the augmented matrix.  Accuracy is then grid-independent, which is what an
 oracle for the symbolic path needs.
 
-A uniform grid t_i = t_0 + i h (every `linspace` grid) costs two `expm`
-calls: one carries the state from 0 to t_0, one gives the step matrix
-S = expm(aug h).  The samples are then filled by doubling: with the first m
+A uniform grid t_i = t_0 + i h (every `linspace` grid) costs one `expm`
+call when t_0 equals the step h bit for bit, as on most `default_grid`
+grids: the step matrix S = expm(aug h) then also carries the state from 0
+to t_0.  Any other uniform grid costs a second call, expm(aug t_0), for
+that first sample.  The samples are then filled by doubling: with the first m
 samples known, the next m are S^m times them, and S is squared, so a grid of
 N points takes ceil(log2 N) block products and no per-sample Python work.
 Any other grid is stepped sample by sample, one `expm` per step.  Either
@@ -82,8 +84,13 @@ def _uniform_step(grid: np.ndarray) -> float | None:
     if len(grid) < 2:
         return None
     h = (grid[-1] - grid[0]) / (len(grid) - 1)
-    ideal = grid[0] + h * np.arange(len(grid))
-    if np.all(np.abs(grid - ideal) <= UNIFORM_ULPS * np.spacing(grid[-1])):
+    # |grid - (grid[0] + h i)| with the same roundings, in one buffer
+    gap = np.arange(len(grid), dtype=float)
+    gap *= h
+    gap += grid[0]
+    gap -= grid
+    np.abs(gap, out=gap)
+    if gap.max() <= UNIFORM_ULPS * np.spacing(grid[-1]):
         return h
     return None
 
@@ -93,15 +100,19 @@ def _plant_states(aug: np.ndarray, w0: np.ndarray, grid: np.ndarray, n: int) -> 
     from scipy.linalg import expm
 
     W = np.empty((len(grid), len(w0)))
-    W[0] = expm(aug * grid[0]) @ w0
     h = _uniform_step(grid)
     if h is None:
+        W[0] = expm(aug * grid[0]) @ w0
         for i in range(1, len(grid)):
             W[i] = expm(aug * (grid[i] - grid[i - 1])) @ W[i - 1]
     else:
+        step = expm(aug * h)
+        # when t_0 is the step, expm(aug t_0) is the same call on the same
+        # array, so S carries the state to t_0 and one expm serves the grid
+        W[0] = step @ w0 if grid[0] == h else expm(aug * grid[0]) @ w0
         # rows are samples, so the step acts as its transpose: with rows
         # [0, m) known, rows [m, 2m) are those rows times (S^m)^T
-        step_t = expm(aug * h).T
+        step_t = step.T
         done = 1
         while done < len(grid):
             take = min(done, len(grid) - done)
@@ -121,9 +132,9 @@ def simulate(ss: StateSpace, x0, input: Signal, grid) -> Trajectory:
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if len(grid) == 0:
         raise ValueError("grid is empty")
-    if not np.all(np.isfinite(grid)):
+    if not np.isfinite(grid).all():
         raise ValueError("grid: times must be finite")
-    if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
+    if grid[0] < 0.0 or (grid[1:] <= grid[:-1]).any():
         raise ValueError("grid must be strictly increasing and start at t >= 0")
     n = ss.n
     x0 = _stack(x0, n, "x0")

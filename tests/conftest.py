@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import settings
 
 from ltivp import LinearODE, Signal
+from ltivp.ode import _toeplitz
 from ltivp.poly import Polynomial, root_product
 
 settings.register_profile("ltivp", derandomize=True, deadline=None)
@@ -79,3 +80,14 @@ def random_signal(rng) -> Signal:
         return Signal.exponential(rng.uniform(-2.0, 1.0), rng.uniform(-2.0, 2.0))
     w = rng.uniform(0.5, 3.0)
     return Signal.cosine(w, rng.uniform(-2.0, 2.0)) + Signal.sine(w, rng.uniform(-2.0, 2.0))
+
+
+def ic_vectors(ode: LinearODE) -> tuple[np.ndarray, np.ndarray]:
+    """The stack-weight matrices (V_y, V_u) = (T(1, a_1..a_{n-1}), T(b_0..b_{n-1})).
+
+    Column j of V_y holds the coefficients, lowest degree first, of
+    s^j + a_1 s^(j-1) + ... + a_j, which weights y^(n-1-j)(0); V_u does the
+    same with the b coefficients for the input stack.
+    """
+    a_full = np.concatenate(([1.0], ode.a))
+    return _toeplitz(a_full[: ode.n]), _toeplitz(ode.b[: ode.n])

@@ -16,7 +16,7 @@ from ltivp.ic import (
     recover_state,
 )
 from ltivp.laplace import IVProblem, assemble, solve_ivp
-from ltivp.ode import LinearODE, ic_vectors, transfer_function
+from ltivp.ode import LinearODE, transfer_function
 from ltivp.poly import Polynomial, RationalFunction
 from ltivp.realization import (
     check_equivalence,
@@ -29,7 +29,7 @@ from ltivp.realization import (
 from ltivp.signal import PiecewiseInput, Signal, laplace_transform
 from ltivp.simulate import default_grid, simulate_ivp
 
-from conftest import random_ode, random_signal
+from conftest import ic_vectors, random_ode, random_signal
 
 RAMP_ODE = LinearODE([6.0, 5.0], [0.0, 1.0, 1.0])
 SWITCH_ODE = LinearODE([6.0, 5.0], [1.0, 3.0, 2.0])

@@ -13,13 +13,13 @@ from ltivp.laplace import (
     solution_transform,
     solve_ivp,
 )
-from ltivp.ode import LinearODE, ic_vectors, transfer_function
+from ltivp.ode import LinearODE, transfer_function
 from ltivp.poly import Polynomial, RationalFunction, partial_fractions, poly_roots
 from ltivp.realization import StateSpace
 from ltivp.signal import PiecewiseInput, Signal, condition_stack, from_partial_fractions, laplace_transform
 from ltivp.simulate import simulate_ivp
 
-from conftest import random_ode, random_signal
+from conftest import ic_vectors, random_ode, random_signal
 
 EX1 = LinearODE([6.0, 5.0], [0.0, 1.0, 1.0])
 EX2 = LinearODE([6.0, 5.0], [1.0, 3.0, 2.0])

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from ltivp.ode import LinearODE, ic_vectors, relative_degree, transfer_function
+from ltivp.ode import LinearODE, relative_degree, transfer_function
 from ltivp.poly import Polynomial, RationalFunction
+
+from conftest import ic_vectors
 
 
 class TestConstruction:

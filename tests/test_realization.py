@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from ltivp.ode import LinearODE, ic_vectors
+from ltivp.ode import LinearODE
 from ltivp.realization import (
     StateSpace,
     check_equivalence,
@@ -13,7 +13,7 @@ from ltivp.realization import (
     ss_markov_parameters,
 )
 
-from conftest import random_ode
+from conftest import ic_vectors, random_ode
 
 EX1 = LinearODE([6.0, 5.0], [0.0, 1.0, 1.0])       # y'' + 6y' + 5y = u' + u
 EX2 = LinearODE([6.0, 5.0], [1.0, 3.0, 2.0])       # same poles, biproper
@@ -52,6 +52,31 @@ class TestMarkovParameters:
             )
             worst = max(worst, gap)
         assert worst <= 1e-9
+
+    def test_bit_identical_to_numpy_scalar_loop(self):
+        # the recursion on Python floats rounds exactly as the same loop on
+        # numpy float64 scalars, the reference kept here
+        def reference(ode, count):
+            n = ode.n
+            h = np.zeros(count)
+            for j in range(count):
+                acc = ode.b[j] if j <= n else 0.0
+                for i in range(1, min(j, n) + 1):
+                    acc -= ode.a[i - 1] * h[j - i]
+                h[j] = acc
+            return h
+
+        rng = np.random.default_rng(811)
+        for _ in range(300):
+            n = int(rng.integers(1, 17))
+            a = rng.uniform(-5, 5, n) * 10.0 ** rng.uniform(-3, 3, n)
+            b = rng.uniform(-5, 5, n + 1) * 10.0 ** rng.uniform(-3, 3, n + 1)
+            b[: int(rng.integers(0, n + 1))] = 0.0
+            ode = LinearODE(a, b)
+            count = int(rng.integers(1, n + 4))
+            got = markov_parameters(ode, count)
+            assert got.dtype == np.float64 and got.shape == (count,)
+            assert_array_equal(got, reference(ode, count))
 
 
 class TestObservableCanonical:

@@ -61,16 +61,15 @@ class TestSimulate:
 
     def test_grid_validation(self):
         ss = first_order()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^grid is empty$"):
             simulate(ss, [0.0], Signal.zero(), [])
-        with pytest.raises(ValueError):
-            simulate(ss, [0.0], Signal.zero(), [1.0, 1.0])
-        with pytest.raises(ValueError):
-            simulate(ss, [0.0], Signal.zero(), [-0.5, 1.0])
+        for bad in ([1.0, 1.0], [1.0, 0.5], [0.5, 1.0, 0.75], [-0.5, 1.0]):
+            with pytest.raises(ValueError, match="^grid must be strictly increasing and start at t >= 0$"):
+                simulate(ss, [0.0], Signal.zero(), bad)
         with pytest.raises(ValueError):
             simulate(ss, [0.0, 0.0], Signal.zero(), [1.0])
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="grid"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^grid: times must be finite$"):
                 simulate(ss, [0.0], Signal.zero(), [0.5, bad])
             # named as x0, not reported as an overflowing trajectory
             with pytest.raises(ValueError, match=rf"^x0: expected finite numbers, got {bad}$"):
@@ -132,14 +131,45 @@ class TestUniformGrid:
             assert_allclose(traj.states[i], want[:2], rtol=1e-10, atol=1e-10)
             assert traj.outputs[i] == pytest.approx(ss.C @ want[:2] + ss.D * want[2], rel=1e-10, abs=1e-10)
 
-    def test_input_evaluated_once_and_two_exponentials(self, monkeypatch):
+    def test_input_evaluated_once_and_one_exponential(self, monkeypatch):
         u_calls = _count_calls(monkeypatch, Signal, "__call__")
         expm_calls = _count_calls(monkeypatch, scipy.linalg, "expm")
         ss = observable_canonical(LinearODE([6.0, 5.0], [2.0, 1.0, 1.0]))
         assert ss.D == 2.0
-        simulate(ss, [0.5, -0.5], Signal.cosine(2.0) + Signal.ramp(), default_grid(3.0, 1000))
+        grid = default_grid(3.0, 1000)
+        assert grid[0] == _uniform_step(grid)  # t_0 is the step
+        simulate(ss, [0.5, -0.5], Signal.cosine(2.0) + Signal.ramp(), grid)
         assert len(u_calls) == 1
-        assert len(expm_calls) <= 2
+        assert len(expm_calls) == 1
+
+    @pytest.mark.parametrize("grid", [np.linspace(0.5, 3.0, 200), default_grid(10.0)], ids=["late-start", "default"])
+    def test_first_sample_off_the_step(self, monkeypatch, grid):
+        # a uniform grid whose t_0 is not the step takes expm(aug t_0) for the
+        # first sample and then doubles with expm(aug h), bit for bit
+        h = _uniform_step(grid)
+        assert h is not None and grid[0] != h
+        ss = observable_canonical(EX1)
+        u = Signal.cosine(1.3)
+        x0 = np.array([0.7, -1.2])
+        J, z0 = _input_generator(u)
+        aug = np.zeros((4, 4))
+        aug[:2, :2] = ss.A
+        aug[:2, 2] = ss.B
+        aug[2:, 2:] = J
+        W = np.empty((len(grid), 4))
+        W[0] = expm(aug * grid[0]) @ np.concatenate([x0, z0])
+        step_t = expm(aug * h).T
+        done = 1
+        while done < len(grid):
+            take = min(done, len(grid) - done)
+            W[done:done + take] = W[:take] @ step_t
+            done += take
+            step_t = step_t @ step_t
+        expm_calls = _count_calls(monkeypatch, scipy.linalg, "expm")
+        traj = simulate(ss, x0, u, grid)
+        assert len(expm_calls) == 2
+        assert_array_equal(traj.states, W[:, :2])
+        assert_array_equal(traj.outputs, W[:, :2] @ ss.C)
 
     def test_input_not_evaluated_without_feedthrough(self, monkeypatch):
         u = Signal.cosine(2.0) + Signal.ramp()
