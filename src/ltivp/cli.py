@@ -3,16 +3,13 @@
 Subcommands: solve, map-ic, realize, check, simulate.  All take a problem
 file (JSON, see problemfile) and --echo.  `solve` prints the closed form
 only; `simulate` is the one subcommand that runs the state-space route, and
-the only one with --csv, --grid and --horizon.  Equality thresholds used by
-`check` default to 1e-9 and can be overridden with the LTIVP_TOL environment
-variable, which no other subcommand reads.
+the only one with --csv, --grid and --horizon.
 Output is deterministic: the same file always prints the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -32,8 +29,6 @@ from .realization import (
 from .signal import condition_stack, format_signal
 from .simulate import default_grid, simulate_ivp
 
-DEFAULT_TOL = 1e-9
-TOL_ENV_VAR = "LTIVP_TOL"
 #: `check` prints sampled gaps below this as 0: they are rounding noise, and
 #: their digits depend on the linear-algebra library rather than the problem.
 GAP_PRINT_FLOOR = 1e-14
@@ -47,19 +42,6 @@ def _mat(M) -> str:
     return "[" + ", ".join(_vec(row) for row in M) + "]"
 
 
-def _env_tol() -> float:
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise ProblemFileError(f"{TOL_ENV_VAR}={raw!r} is not a number") from None
-    if not 0.0 < tol < np.inf:
-        raise ProblemFileError(f"{TOL_ENV_VAR} must be a finite positive number, got {raw}")
-    return tol
-
-
 def cmd_solve(parsed: ParsedProblem, args) -> int:
     problem = parsed.problem
     print(f"ode: {problem.ode}")
@@ -68,8 +50,9 @@ def cmd_solve(parsed: ParsedProblem, args) -> int:
         y_first, u_first = laplace.first_conditions(problem)
         print(f"Y(0+) = {_vec(y_first)}   (mapped from previous conditions)")
         print(f"U(0+) = {_vec(u_first)}")
-    print(f"Y(s) = {laplace.solution_transform(problem)}")
-    print(f"y(t) = {format_signal(laplace.solve_ivp(problem))}")
+    Ys = laplace.solution_transform(problem)
+    print(f"Y(s) = {Ys}")
+    print(f"y(t) = {format_signal(laplace.invert(problem, Ys))}")
     return 0
 
 
@@ -105,12 +88,11 @@ def cmd_realize(parsed: ParsedProblem, args) -> int:
 
 
 def cmd_check(parsed: ParsedProblem, args) -> int:
-    tol = _env_tol()
     problem = parsed.problem
     ode = problem.ode
     ss = parsed.ssr if parsed.ssr is not None else observable_canonical(ode)
     source = "from file" if parsed.ssr is not None else "observable canonical"
-    report = check_equivalence(ode, ss, tol=tol)
+    report = check_equivalence(ode, ss)
     gap = report.transfer_error if report.transfer_error >= GAP_PRINT_FLOOR else 0.0
     print(f"ode: {ode}")
     print(f"ssr: {source}, n = {ss.n}")
@@ -139,7 +121,7 @@ def cmd_check(parsed: ParsedProblem, args) -> int:
 
     n = ode.n
     u_jump = condition_stack(problem.input.future, n) - condition_stack(problem.input.past, n)
-    creport = classify_continuity(ode, u_jump, tol=tol)
+    creport = classify_continuity(ode, u_jump)
     print(f"continuity at t = 0 (r = {creport.r}, m = {creport.m}):")
     for entry in creport.entries:
         verdict = "continuous" if entry.continuous else "discontinuous"

@@ -24,6 +24,9 @@ from .realization import (
     ss_markov_matrix,
 )
 
+#: Continuity verdict: a jump at t = 0 of at most this counts as continuous.
+JUMP_TOL = 1e-9
+
 
 def _stack(x, n: int, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -114,7 +117,12 @@ class ContinuityReport:
     predicted_continuous: bool
 
 
-def classify_continuity(ode: LinearODE, u_jump, tol: float = 1e-9) -> ContinuityReport:
+def classify_continuity(ode: LinearODE, u_jump) -> ContinuityReport:
+    """Jumps Delta Y = M Delta U; each is continuous when |jump| <= JUMP_TOL.
+
+    The bound is absolute, on the data's own scale, and applies alike to the
+    input-jump entries behind `predicted_continuous`.
+    """
     n = ode.n
     u_jump = _stack(u_jump, n, "u_jump")
     delta_y = markov_matrix(ode) @ u_jump
@@ -122,12 +130,12 @@ def classify_continuity(ode: LinearODE, u_jump, tol: float = 1e-9) -> Continuity
         ContinuityEntry(
             order=j,
             jump=float(delta_y[n - 1 - j]),
-            continuous=bool(abs(delta_y[n - 1 - j]) <= tol),
+            continuous=bool(abs(delta_y[n - 1 - j]) <= JUMP_TOL),
         )
         for j in range(n)
     )
     r, m = relative_degree(ode)
-    predicted = bool(np.all(np.abs(u_jump[n - m :]) <= tol)) if m > 0 else True
+    predicted = bool(np.all(np.abs(u_jump[n - m :]) <= JUMP_TOL)) if m > 0 else True
     return ContinuityReport(
         r=r,
         m=m,

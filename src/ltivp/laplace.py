@@ -54,8 +54,7 @@ def assemble(ode: LinearODE, G: RationalFunction, Us: RationalFunction, y_stack,
     """Y(s) from the transfer function G = transfer_function(ode), the input
     transform and one coherent stack pair.
 
-    G is passed in so that a solve forms A(s) once, for root finding and
-    here.  Strictly proper by construction: deg B <= n and U(s) is strictly
+    Strictly proper by construction: deg B <= n and U(s) is strictly
     proper, so deg(B U_num) < n + deg U_den, and deg c <= n - 1.
     """
     n = ode.n
@@ -100,19 +99,6 @@ def first_conditions(problem: IVProblem) -> tuple[np.ndarray, np.ndarray]:
     return map_previous_to_first(problem.ode, y, u, u_first), u_first
 
 
-def solve_ivp(problem: IVProblem) -> Signal:
-    """Closed-form y(t) for t > 0 as an exponential-polynomial signal.
-
-    Every term of the expansion is kept as computed, with no threshold, so
-    the result is exactly linear in the conditions and the input.
-    """
-    G = transfer_function(problem.ode)
-    known = [(rate, max(powers) + 1) for rate, powers in problem.input.future.by_rate().items()]
-    poles = poly.poly_roots(G.den, known)
-    Ys = assemble(problem.ode, G, laplace_transform(problem.input.future), *stated_conditions(problem))
-    return from_partial_fractions(partial_fractions(Ys, poles))
-
-
 def solution_transform(problem: IVProblem) -> RationalFunction:
     """The assembled transform Y(s) without inverting it.
 
@@ -122,3 +108,19 @@ def solution_transform(problem: IVProblem) -> RationalFunction:
     """
     Us = laplace_transform(problem.input.future)
     return assemble(problem.ode, transfer_function(problem.ode), Us, *stated_conditions(problem))
+
+
+def invert(problem: IVProblem, Ys: RationalFunction) -> Signal:
+    """y(t) for t > 0 from Ys = solution_transform(problem).
+
+    Every term of the expansion is kept as computed, with no threshold, so
+    the result is exactly linear in the conditions and the input.
+    """
+    known = [(rate, max(powers) + 1) for rate, powers in problem.input.future.by_rate().items()]
+    poles = poly.poly_roots(transfer_function(problem.ode).den, known)
+    return from_partial_fractions(partial_fractions(Ys, poles))
+
+
+def solve_ivp(problem: IVProblem) -> Signal:
+    """Closed-form y(t) for t > 0 as an exponential-polynomial signal."""
+    return invert(problem, solution_transform(problem))

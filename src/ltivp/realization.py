@@ -18,6 +18,8 @@ from .ode import LinearODE, _toeplitz, require_finite
 
 #: Observability verdict: observable when sigma_min / sigma_max > this.
 OBSERVABILITY_RTOL = 1e-9
+#: Transfer-function verdict: a match when the sampled gap is at most this.
+TRANSFER_TOL = 1e-9
 
 
 class StateSpace:
@@ -161,7 +163,7 @@ class EquivalenceReport:
         return self.same_order and self.transfer_match and self.observable
 
 
-def check_equivalence(ode: LinearODE, ss: StateSpace, tol: float = 1e-9) -> EquivalenceReport:
+def check_equivalence(ode: LinearODE, ss: StateSpace) -> EquivalenceReport:
     """Same order, same transfer function, observable realization.
 
     The transfer functions are compared by value: C (sI - A)^(-1) B + D
@@ -176,7 +178,9 @@ def check_equivalence(ode: LinearODE, ss: StateSpace, tol: float = 1e-9) -> Equi
     differ by a rational function whose numerator has degree at most 2N, so
     agreement at 2N + 1 points is agreement everywhere, and uncancelled
     common factors on either side do not matter.  `transfer_error` is the
-    largest |G_ss - G_ode| / (1 + |G_ode|) over the points.
+    largest |G_ss - G_ode| / (1 + |G_ode|) over the points, and the
+    functions match when it is at most TRANSFER_TOL.  The realization is
+    observable when its sigma ratio exceeds OBSERVABILITY_RTOL.
     """
     same_order = ss.n == ode.n
     a_desc = np.concatenate(([1.0], ode.a))
@@ -193,7 +197,7 @@ def check_equivalence(ode: LinearODE, ss: StateSpace, tol: float = 1e-9) -> Equi
     ratio = observability_ratio(observability_matrix(ss))
     return EquivalenceReport(
         same_order=same_order,
-        transfer_match=bool(err <= tol),
+        transfer_match=bool(err <= TRANSFER_TOL),
         observable=ratio > OBSERVABILITY_RTOL,
         transfer_error=float(err),
         sigma_ratio=ratio,

@@ -133,24 +133,16 @@ class TestCheck:
         assert "ssr: from file, n = 2" in out
         assert "equivalent: no (condition 2)" in out
 
-    def test_tolerance_env_changes_verdict(self, capsys, monkeypatch):
-        monkeypatch.setenv("LTIVP_TOL", "2.0")
-        _, out, _ = run(capsys, "check", REST)
-        assert "  y^(1): jump 1 -> continuous" in out
-
-    @pytest.mark.parametrize("raw", ["banana", "inf", "1e400", "nan", "0", "-1"])
-    def test_bad_tolerance_env(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("LTIVP_TOL", raw)
-        code, _, err = run(capsys, "check", REST)
-        assert code == 1
-        assert "LTIVP_TOL" in err
-
-    @pytest.mark.parametrize("command", ["solve", "map-ic", "realize"])
-    def test_tolerance_env_read_only_by_check(self, capsys, monkeypatch, command):
-        monkeypatch.setenv("LTIVP_TOL", "banana")
-        code, out, err = run(capsys, command, SWITCH)
-        assert code == 0 and err == ""
-        assert out == Path(f"tests/golden/input_switch.{command}.out").read_text()
+    @pytest.mark.parametrize("command", ["solve", "map-ic", "realize", "check", "simulate"])
+    def test_tolerance_env_is_ignored(self, capsys, monkeypatch, command):
+        # every threshold is a module constant: a set LTIVP_TOL changes no
+        # byte of any subcommand's output
+        for problem in (SWITCH, RAMP, REST):
+            monkeypatch.delenv("LTIVP_TOL", raising=False)
+            plain = run(capsys, command, problem)
+            for raw in ("2.0", "banana"):
+                monkeypatch.setenv("LTIVP_TOL", raw)
+                assert run(capsys, command, problem) == plain, (problem, raw)
 
 
 class TestSimulate:

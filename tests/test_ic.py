@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from ltivp.errors import NotObservable
 from ltivp.ic import (
+    JUMP_TOL,
     ConditionPair,
     classify_continuity,
     map_previous_to_first,
@@ -131,6 +132,19 @@ class TestContinuity:
         report = classify_continuity(INTRO, [1.0, 0.0])
         assert report.fully_continuous
         assert report.predicted_continuous
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_jump_bound_is_inclusive(self, sign):
+        # INTRO has M = [[0, 1], [0, 0]] and m = 1: an input jump [0, x] makes
+        # y' jump by exactly x, and x is the one entry behind the prediction
+        above = np.nextafter(JUMP_TOL, np.inf)
+        for x, continuous in ((JUMP_TOL, True), (above, False)):
+            report = classify_continuity(INTRO, [0.0, sign * x])
+            y1 = report.entries[1]
+            assert y1.order == 1 and y1.jump == sign * x
+            assert y1.continuous is continuous
+            assert report.entries[0].continuous
+            assert report.predicted_continuous is continuous
 
     def test_prediction_matches_actual_random(self):
         rng = np.random.default_rng(36)

@@ -2,7 +2,9 @@
 command-line transcript run as shown, and every function the benchmark's
 tracer wraps still exists."""
 
+import ast
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -91,6 +93,22 @@ def test_traced_run_records_every_layer():
     assert any(s[layers["SIG_CALLS"]] > 0 for s in steps)
 
 
+def public_numeric_constants() -> list[tuple[str, str]]:
+    """(module, NAME) of every public numeric constant a module of ltivp defines."""
+    found = []
+    for info in pkgutil.iter_modules(ltivp.__path__):
+        module = importlib.import_module(f"ltivp.{info.name}")
+        for node in ast.parse(Path(module.__file__).read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            for target in targets:
+                if not isinstance(target, ast.Name) or target.id.startswith("_"):
+                    continue
+                value = getattr(module, target.id)
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    found.append((info.name, target.id))
+    return found
+
+
 def test_readme_constants_match_the_code():
     # Tolerances names each threshold as `module.NAME` = value
     named = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)`(?:\s*=\s*([-+.\deE]+))?", README.read_text())
@@ -100,3 +118,8 @@ def test_readme_constants_match_the_code():
         assert actual is not None, f"{module}.{name}"
         if value:
             assert actual == float(value), f"{module}.{name} = {actual}, README says {value}"
+    with_value = {(module, name) for module, name, value in named if value}
+    constants = public_numeric_constants()
+    assert ("ic", "JUMP_TOL") in constants
+    for module, name in constants:
+        assert (module, name) in with_value, f"README does not give `{module}.{name}` = value"

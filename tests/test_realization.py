@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from ltivp.ode import LinearODE
 from ltivp.realization import (
+    TRANSFER_TOL,
     StateSpace,
     check_equivalence,
     markov_matrix,
@@ -17,6 +18,7 @@ from conftest import ic_vectors, random_ode
 
 EX1 = LinearODE([6.0, 5.0], [0.0, 1.0, 1.0])       # y'' + 6y' + 5y = u' + u
 EX2 = LinearODE([6.0, 5.0], [1.0, 3.0, 2.0])       # same poles, biproper
+PZ = LinearODE([6.0, 11.0, 6.0], [0.0, 0.0, 1.0, 2.0])  # B = s + 2 divides A
 
 
 class TestMarkovParameters:
@@ -198,6 +200,31 @@ class TestEquivalence:
         report = check_equivalence(EX1, other)
         assert report.same_order
         assert not report.transfer_match
+
+    @pytest.mark.parametrize("scale, match", [(1e-12, True), (1e-6, False)])
+    def test_transfer_verdict_reads_the_gap(self, scale, match):
+        # B scaled by 1 + scale moves the sampled gap by about scale
+        ss = observable_canonical(EX1)
+        report = check_equivalence(EX1, StateSpace(ss.A, ss.B * (1.0 + scale), ss.C, ss.D))
+        assert report.transfer_match is match
+        assert (report.transfer_error <= TRANSFER_TOL) is match
+
+    def test_pole_zero_cancellation_canonical_is_observable(self):
+        # B = s + 2 divides A = (s + 1)(s + 2)(s + 3), yet the observable-
+        # canonical realization stays observable: condition 3 is not
+        # "A and B are coprime"
+        report = check_equivalence(PZ, observable_canonical(PZ))
+        assert report.sigma_ratio > 1e-3
+        assert report.equivalent
+
+    def test_pole_zero_cancellation_controllable_is_unobservable(self):
+        # the controllable-canonical realization of the same B/A hides the
+        # mode at -2 from y: same transfer function, not observable
+        A = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-6.0, -11.0, -6.0]]
+        report = check_equivalence(PZ, StateSpace(A, [0.0, 0.0, 1.0], [2.0, 1.0, 0.0], 0.0))
+        assert report.same_order and report.transfer_match
+        assert report.sigma_ratio < 1e-12
+        assert not report.observable and not report.equivalent
 
     @pytest.mark.parametrize("n", [12, 16])
     @pytest.mark.parametrize("kind", ["even", "conjugate"])
