@@ -106,8 +106,7 @@ def solution_transform(problem: IVProblem) -> RationalFunction:
     first conditions beforehand would give the same transform, and mixing
     sides is the one thing that does not.
     """
-    Us = laplace_transform(problem.input.future)
-    return assemble(problem.ode, transfer_function(problem.ode), Us, *stated_conditions(problem))
+    return _transform(problem, transfer_function(problem.ode))
 
 
 def invert(problem: IVProblem, Ys: RationalFunction) -> Signal:
@@ -116,11 +115,23 @@ def invert(problem: IVProblem, Ys: RationalFunction) -> Signal:
     Every term of the expansion is kept as computed, with no threshold, so
     the result is exactly linear in the conditions and the input.
     """
-    known = [(rate, max(powers) + 1) for rate, powers in problem.input.future.by_rate().items()]
-    poles = poly.poly_roots(transfer_function(problem.ode).den, known)
-    return from_partial_fractions(partial_fractions(Ys, poles))
+    return _expand(problem, Ys, transfer_function(problem.ode).den)
 
 
 def solve_ivp(problem: IVProblem) -> Signal:
     """Closed-form y(t) for t > 0 as an exponential-polynomial signal."""
-    return invert(problem, solution_transform(problem))
+    G = transfer_function(problem.ode)
+    return _expand(problem, _transform(problem, G), G.den)
+
+
+def _transform(problem: IVProblem, G: RationalFunction) -> RationalFunction:
+    """Y(s) given G = transfer_function(problem.ode)."""
+    Us = laplace_transform(problem.input.future)
+    return assemble(problem.ode, G, Us, *stated_conditions(problem))
+
+
+def _expand(problem: IVProblem, Ys: RationalFunction, A: Polynomial) -> Signal:
+    """y(t) from Ys, given A(s), the denominator of the transfer function."""
+    known = [(rate, max(powers) + 1) for rate, powers in problem.input.future.by_rate().items()]
+    poles = poly.poly_roots(A, known)
+    return from_partial_fractions(partial_fractions(Ys, poles))

@@ -7,9 +7,14 @@ the reals; `Signal` checks this with no tolerance, and the closed form
 meets it by construction (`from_partial_fractions`).
 
 Evaluation is done in real arithmetic, one distinct rate at a time: the
-powers of a rate are summed by Horner's rule, and a conjugate pair re +- iw
-costs one exp, one cos and one sin over the times (a real rate one exp, a
-constant or polynomial none).
+powers of a rate are summed by Horner's rule, a real rate costs one exp
+over the times (a constant or polynomial none), and a conjugate pair
+re +- iw one exp plus its cos and sin.  Those are taken at every time,
+except on a uniform 1-D grid of at least ANGLE_MIN_POINTS samples: there
+they are taken at about 4 sqrt(N) points and the grid is filled by angle
+addition (`_pair_by_rows`), which agrees with the per-sample sum to a few
+eps of each mode's size times 1 + |rate| |t|.  So a scalar t and the same
+t inside such a grid can differ in the last bits.
 """
 
 from __future__ import annotations
@@ -104,25 +109,37 @@ class Signal:
     def __call__(self, t):
         """Value at time t: a float for a scalar or 0-d t, else an array shaped like t.
 
-        Scalars and arrays take one path, rate by rate, one conjugate pair
-        at a time: P(t) = sum of amp_k t^k by Horner's rule on the real and
-        imaginary parts of the amplitudes, then 2 (Re P cos(wt) - Im P
-        sin(wt)) e^(re t) for a rate re + iw with w > 0, or P(t) e^(re t)
-        for a real rate, with no exponential when re = 0.
+        Rate by rate, one conjugate pair at a time: P(t) = sum of amp_k t^k
+        by Horner's rule on the real and imaginary parts of the amplitudes,
+        then 2 (Re P cos(wt) - Im P sin(wt)) e^(re t) for a rate re + iw
+        with w > 0, or P(t) e^(re t) for a real rate, with no exponential
+        when re = 0.  A pair takes cos and sin at every time, except on a
+        1-D grid of at least ANGLE_MIN_POINTS samples that is uniform to
+        ANGLE_GRID_EPS: checked once, at the first pair, such a grid takes
+        them at about 4 sqrt(N) points and sums each power's term by angle
+        addition (`_pair_by_rows`).  The value then differs from the
+        per-sample one in the last bits, so a scalar and an array sample of
+        the same t can differ there; scalars, other arrays and signals
+        with no pair keep the per-sample bits.
         """
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros(t_arr.shape)
+        step = _UNCHECKED  # the grid is checked at the first pair, if there is one
         for rate, powers in self.by_rate().items():
             if rate.imag < 0.0:
                 continue  # the conjugate partner carries the pair
             amps = [powers.get(k, 0j) for k in range(max(powers) + 1)]
-            re_part = _horner([a.real for a in amps], t_arr)
+            if rate.imag != 0.0 and step is _UNCHECKED:
+                step = _grid_step(t_arr)
             if rate.imag == 0.0:
-                term = re_part
-            else:
+                term = _horner([a.real for a in amps], t_arr)
+            elif step is None:
+                re_part = _horner([a.real for a in amps], t_arr)
                 im_part = _horner([a.imag for a in amps], t_arr)
                 wt = rate.imag * t_arr
                 term = 2.0 * (re_part * np.cos(wt) - im_part * np.sin(wt))
+            else:
+                term = _pair_by_rows(amps, rate.imag, t_arr, step)
             if rate.real != 0.0:
                 term = term * np.exp(rate.real * t_arr)
             out += term
@@ -214,6 +231,80 @@ def _horner(coeffs: list[float], t: np.ndarray):
     for c in reversed(coeffs[:-1]):
         acc = acc * t + c
     return acc
+
+
+#: A 1-D grid of fewer samples takes cos and sin at every sample; a longer one
+#: is checked for uniformity at its first conjugate pair (`_grid_step`).  At
+#: about this size the check and the row set-up cost as much as cos and sin
+#: at every sample of one pair; above it angle addition is faster.
+ANGLE_MIN_POINTS = 1000
+
+#: A grid is uniform, and its pairs are summed by angle addition, when every
+#: |t_i - (t_0 + i h)| is at most this many eps of |t_0| + i |h|, with h the
+#: mean step (t_(N-1) - t_0) / (N - 1).  `linspace` grids and t_0 + h i
+#: grids come within 2.
+ANGLE_GRID_EPS = 4
+
+_EPS = float(np.finfo(float).eps)
+_UNCHECKED = object()
+
+
+def _grid_step(t: np.ndarray) -> float | None:
+    """The mean step h of t if t is a long enough uniform 1-D grid, else None.
+
+    Kept apart from `simulate`'s own test for a uniform grid, so that one
+    wrong predicate cannot make both routes wrong alike.  A non-finite
+    sample makes its gap NaN or infinite, which fails the comparison.
+    """
+    if t.ndim != 1 or len(t) < ANGLE_MIN_POINTS:
+        return None
+    t0 = float(t[0])
+    h = (float(t[-1]) - t0) / (len(t) - 1)
+    if not (math.isfinite(t0) and math.isfinite(h)):
+        return None
+    tol = ANGLE_GRID_EPS * _EPS
+    ih = np.arange(len(t), dtype=float)
+    ih *= h
+    gap = ih + t0
+    gap -= t
+    np.abs(gap, out=gap)
+    # |gap_i| - tol |i h| <= tol |t_0|, in place: i h has the sign of h
+    ih *= math.copysign(tol, h)
+    gap -= ih
+    return h if gap.max() <= tol * abs(t0) else None
+
+
+def _pair_by_rows(amps: list[complex], w: float, t: np.ndarray, h: float) -> np.ndarray:
+    """2 Re(P(t) e^(iwt)) on a uniform grid of step h, P(t) = sum amps[k] t^k.
+
+    The grid is cut into rows of c samples, t_(mc+j) = t_j + mch, so wt is
+    a_j + b_m with a_j = w t_j over the first row and b_m = w (mc) h over
+    the row starts.  By angle addition, with A + iB = 2 amps[k],
+
+        2 Re(amps[k] e^(i(a + b))) = cos b (A cos a - B sin a) + sin b (-B cos a - A sin a),
+
+    so the grid of each power's term, row by row, is the product of the
+    (rows, 2) factor [cos b, sin b] and a (2, c) factor built from
+    [cos a; sin a]: cos and sin at c + N/c points instead of N, and one
+    pass over the grid per power.  The powers are then summed by Horner's
+    rule.  Rows of about 4 sqrt(N) samples keep the row factor short.
+    """
+    n = len(t)
+    cols = 4 * math.isqrt(n)
+    rows = -(-n // cols)
+    alpha = w * t[:cols]
+    first = np.empty((2, cols))
+    np.cos(alpha, out=first[0])
+    np.sin(alpha, out=first[1])
+    beta = w * (np.arange(0, rows * cols, cols, dtype=float) * h)
+    starts = np.empty((rows, 2))
+    np.cos(beta, out=starts[:, 0])
+    np.sin(beta, out=starts[:, 1])
+    grids = []
+    for amp in amps:
+        A, B = 2.0 * amp.real, 2.0 * amp.imag
+        grids.append((starts @ (np.array([[A, -B], [-B, -A]]) @ first)).reshape(-1)[:n])
+    return _horner(grids, t)
 
 
 @dataclass(frozen=True)

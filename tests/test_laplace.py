@@ -183,6 +183,18 @@ class TestSolveIVP:
         want = 3.0 / 25.0 + 0.4 * ts - (3.0 / 25.0) * np.exp(-5 * ts) - 0.25 * np.exp(-ts) - 0.75 * np.exp(-5 * ts)
         assert np.max(np.abs(y(ts) - want)) <= 1e-9
 
+    def test_transfer_function_formed_once(self, monkeypatch):
+        # A(s) is formed once per solve, and the result is the one the CLI
+        # prints from the transform and its inversion
+        from ltivp import laplace
+
+        problem = switch_problem("previous")
+        two_step = repr(laplace.invert(problem, solution_transform(problem)))
+        calls = []
+        monkeypatch.setattr(laplace, "transfer_function", lambda ode: calls.append(ode) or transfer_function(ode))
+        assert repr(solve_ivp(problem)) == two_step
+        assert calls == [problem.ode]
+
     def test_switch_same_result_first_form(self):
         ts = np.linspace(0.0, 3.0, 60)
         y_prev = solve_ivp(switch_problem("previous"))
@@ -295,6 +307,11 @@ def from_rest(a, b, future: Signal) -> IVProblem:
 class TestInputPoles:
     def test_double_pole_pair_with_triple_input_pair(self):
         assert route_gap(DOUBLE_PAIR, np.linspace(0.05, 5.0, 100)) <= 1.0
+
+    def test_double_pole_pair_on_a_long_grid(self):
+        # both routes sum pairs by angle addition on 5,000 uniform samples:
+        # the closed form for y, the state-space route for the D u feedthrough
+        assert route_gap(DOUBLE_PAIR, np.linspace(0.05, 5.0, 5_000)) <= 1.0
 
     def test_only_the_ode_denominator_is_root_found(self, monkeypatch):
         # the input's poles come from its signal, so every companion matrix

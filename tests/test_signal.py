@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from ltivp import signal
 from ltivp.poly import PartialFractionTerm, Polynomial, RationalFunction, partial_fractions
 from ltivp.signal import (
     PiecewiseInput,
@@ -202,6 +203,125 @@ class TestEvaluationAgainstModeSum:
         monkeypatch.setattr(Signal, "__init__", counting_init)
         condition_stack(x, 8)
         assert built == []
+
+
+def direct_sum(x: Signal, t):
+    """Evaluation with cos and sin at every sample, rate by rate, in the
+    order and with the operations `Signal.__call__` used before angle
+    addition: the bits the direct path must keep."""
+    t_arr = np.asarray(t, dtype=float)
+    out = np.zeros(t_arr.shape)
+    for rate, powers in x.by_rate().items():
+        if rate.imag < 0.0:
+            continue
+        amps = [powers.get(k, 0j) for k in range(max(powers) + 1)]
+        re_part = amps[-1].real
+        for a in reversed(amps[:-1]):
+            re_part = re_part * t_arr + a.real
+        if rate.imag == 0.0:
+            term = re_part
+        else:
+            im_part = amps[-1].imag
+            for a in reversed(amps[:-1]):
+                im_part = im_part * t_arr + a.imag
+            wt = rate.imag * t_arr
+            term = 2.0 * (re_part * np.cos(wt) - im_part * np.sin(wt))
+        if rate.real != 0.0:
+            term = term * np.exp(rate.real * t_arr)
+        out += term
+    return float(out) if out.ndim == 0 else out
+
+
+#: two pairs, one with powers up to 2, and two real rates
+PAIRS = Signal(
+    [(0.5 - 0.25j, 0, complex(-0.3, 4.0)), (0.5 + 0.25j, 0, complex(-0.3, -4.0))]
+    + [(a, k, complex(0.1, s * 9.0)) for k, amp in enumerate((1.0 + 1.0j, -0.5j, 0.25 + 0.0j))
+       for a, s in ((amp, 1), (amp.conjugate(), -1))]
+    + [(1.5, 1, 0.0), (-0.75, 0, -2.0)]
+)
+
+
+class TestAngleAddition:
+    """Which path `Signal.__call__` takes; the accuracy of both is in
+    test_signal_accuracy.py."""
+
+    N = 10_000
+
+    @pytest.fixture
+    def trig_points(self, monkeypatch):
+        """Number of points np.cos and np.sin are called on, by name."""
+        counts = {"cos": 0, "sin": 0}
+        for name in counts:
+            original = getattr(np, name)
+
+            def counting(x, *args, _name=name, _original=original, **kwargs):
+                counts[_name] += np.size(x)
+                return _original(x, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        return counts
+
+    def test_uniform_grid_takes_order_sqrt_n_points(self, trig_points):
+        t = np.linspace(3.0 / self.N, 3.0, self.N)
+        PAIRS(t)
+        # two pairs, each at c + ceil(N / c) = 425 points with c = 4 isqrt(N),
+        # about 4 sqrt(N): the direct path takes N per pair
+        assert trig_points == {"cos": 850, "sin": 850}
+
+    def test_floor_is_the_first_size_taken(self, trig_points):
+        floor = signal.ANGLE_MIN_POINTS
+        PAIRS(np.linspace(0.5, 3.0, floor))
+        assert 0 < trig_points["cos"] < floor
+        trig_points["cos"] = 0
+        PAIRS(np.linspace(0.5, 3.0, floor - 1))
+        assert trig_points["cos"] == 2 * (floor - 1)
+
+    @pytest.mark.parametrize("factor, fast", [(0.5, True), (4.0, False)])
+    def test_moved_sample_against_the_tolerance(self, trig_points, factor, fast):
+        t = np.linspace(0.0, 3.0, self.N)
+        i = 6_001
+        t[i] += factor * signal.ANGLE_GRID_EPS * np.finfo(float).eps * (t[i] - t[0])
+        got = PAIRS(t)
+        assert (trig_points["cos"] < self.N) == fast
+        if not fast:
+            assert_array_equal(got, direct_sum(PAIRS, t))
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            np.concatenate([np.linspace(0.0, 3.0, 5_000), [np.nan]]),
+            np.concatenate([[np.inf], np.linspace(0.0, 3.0, 5_000)]),
+            np.where(np.arange(5_000) == 2_500, -np.inf, np.linspace(0.0, 3.0, 5_000)),
+            np.where(np.arange(5_000) == 2_500, np.nan, np.linspace(0.0, 3.0, 5_000)),
+            np.linspace(0.0, 3.0, 10_000).reshape(100, 100),
+            np.linspace(0.0, 3.0, signal.ANGLE_MIN_POINTS - 1),
+            np.geomspace(1e-3, 3.0, 5_000),
+        ],
+        ids=["nan-last", "inf-first", "inf-inside", "nan-inside", "2-d", "floor-1", "geomspace"],
+    )
+    def test_direct_path_is_bit_identical(self, t):
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_array_equal(PAIRS(t), direct_sum(PAIRS, t))
+
+    def test_scalars_take_the_direct_path(self):
+        for t in (0.0, 1.7, -2.5, 1e3):
+            assert PAIRS(t) == direct_sum(PAIRS, t)
+            assert PAIRS(np.array(t)) == direct_sum(PAIRS, t)
+
+    def test_grid_checked_once_and_only_for_a_pair(self, monkeypatch):
+        calls = []
+        check = signal._grid_step
+
+        def recording(t):
+            calls.append(len(t))
+            return check(t)
+
+        monkeypatch.setattr(signal, "_grid_step", recording)
+        t = np.linspace(0.0, 3.0, self.N)
+        Signal([(1.5, 1, 0.0), (-0.75, 0, -2.0), (2.0, 3, 0.5)])(t)
+        assert calls == []
+        PAIRS(t)
+        assert calls == [self.N]
 
 
 class TestDerivative:
