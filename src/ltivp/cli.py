@@ -31,6 +31,7 @@ from .simulate import default_grid, simulate_ivp
 
 #: `check` prints sampled gaps below this as 0: they are rounding noise, and
 #: their digits depend on the linear-algebra library rather than the problem.
+#: A NaN gap is printed as nan.
 GAP_PRINT_FLOOR = 1e-14
 
 
@@ -44,15 +45,16 @@ def _mat(M) -> str:
 
 def cmd_solve(parsed: ParsedProblem, args) -> int:
     problem = parsed.problem
-    print(f"ode: {problem.ode}")
-    print(f"input (t > 0): {problem.input.future}")
+    # everything is computed before the first line, so a failure prints none
+    Ys = laplace.solution_transform(problem)
+    y = laplace.invert(problem, Ys)
+    lines = [f"ode: {problem.ode}", f"input (t > 0): {problem.input.future}"]
     if problem.conditions.kind == "previous":
         y_first, u_first = laplace.first_conditions(problem)
-        print(f"Y(0+) = {_vec(y_first)}   (mapped from previous conditions)")
-        print(f"U(0+) = {_vec(u_first)}")
-    Ys = laplace.solution_transform(problem)
-    print(f"Y(s) = {Ys}")
-    print(f"y(t) = {format_signal(laplace.invert(problem, Ys))}")
+        lines.append(f"Y(0+) = {_vec(y_first)}   (mapped from previous conditions)")
+        lines.append(f"U(0+) = {_vec(u_first)}")
+    lines += [f"Y(s) = {Ys}", f"y(t) = {format_signal(y)}"]
+    print("\n".join(lines))
     return 0
 
 
@@ -93,7 +95,7 @@ def cmd_check(parsed: ParsedProblem, args) -> int:
     ss = parsed.ssr if parsed.ssr is not None else observable_canonical(ode)
     source = "from file" if parsed.ssr is not None else "observable canonical"
     report = check_equivalence(ode, ss)
-    gap = report.transfer_error if report.transfer_error >= GAP_PRINT_FLOOR else 0.0
+    gap = 0.0 if report.transfer_error < GAP_PRINT_FLOOR else report.transfer_error
     print(f"ode: {ode}")
     print(f"ssr: {source}, n = {ss.n}")
     print(f"condition 1, same order: {'yes' if report.same_order else 'no'}")

@@ -26,14 +26,18 @@ import numpy as np
 
 from . import poly
 from .ic import ConditionPair, map_previous_to_first
-from .ode import LinearODE, require_finite, transfer_function
+from .ode import LinearODE, transfer_function
 from .poly import Polynomial, RationalFunction, partial_fractions
 from .signal import PiecewiseInput, Signal, condition_stack, from_partial_fractions, laplace_transform
 
 
 @dataclass(frozen=True, eq=False)
 class IVProblem:
-    """An ODE, a piecewise input switching at t = 0, and condition data."""
+    """An ODE, a piecewise input switching at t = 0, and condition data.
+
+    Each part checks its own data, finiteness included (a `Signal` holds
+    finite modes only); here they are checked against each other.
+    """
 
     ode: LinearODE
     input: PiecewiseInput
@@ -41,13 +45,11 @@ class IVProblem:
     horizon: float | None = None
 
     def __post_init__(self):
-        n = self.ode.n
-        if len(self.conditions.y) != n:
-            raise ValueError(f"conditions.y must have length {n}, got {len(self.conditions.y)}")
+        n, k = self.ode.n, len(self.conditions.y)
+        if k != n:
+            raise ValueError(f"conditions.y: expected length {n} (highest derivative first), got {k}")
         if self.horizon is not None and not 0.0 < self.horizon < math.inf:
-            raise ValueError("horizon must be a finite positive number")
-        for side, segment in (("past", self.input.past), ("future", self.input.future)):
-            require_finite(f"input.{side}", [z for m in segment.modes for z in (m.amp, m.rate)])
+            raise ValueError("horizon: must be a finite positive number")
 
 
 def assemble(ode: LinearODE, G: RationalFunction, Us: RationalFunction, y_stack, u_stack) -> RationalFunction:
@@ -131,7 +133,12 @@ def _transform(problem: IVProblem, G: RationalFunction) -> RationalFunction:
 
 
 def _expand(problem: IVProblem, Ys: RationalFunction, A: Polynomial) -> Signal:
-    """y(t) from Ys, given A(s), the denominator of the transfer function."""
+    """y(t) from Ys, given A(s), the denominator of the transfer function.
+
+    An expansion that overflows is not warned about: `Signal` rejects its
+    non-finite modes with one ValueError.
+    """
     known = [(rate, max(powers) + 1) for rate, powers in problem.input.future.by_rate().items()]
-    poles = poly.poly_roots(A, known)
-    return from_partial_fractions(partial_fractions(Ys, poles))
+    with np.errstate(over="ignore", invalid="ignore"):
+        poles = poly.poly_roots(A, known)
+        return from_partial_fractions(partial_fractions(Ys, poles))

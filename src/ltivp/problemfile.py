@@ -67,14 +67,12 @@ def parse_problem(data) -> ParsedProblem:
         raise ProblemFileError(f"unknown top-level fields: {', '.join(sorted(unknown))}")
 
     ode = _parse_ode(_require(data, "ode"))
-    conditions = _parse_conditions(_require(data, "conditions"), ode.n)
+    conditions = _parse_conditions(_require(data, "conditions"))
     input_ = _parse_input(_require(data, "input"), conditions.kind)
 
     horizon = data.get("horizon")
     if horizon is not None:
         horizon = _number(horizon, "horizon")
-        if not horizon > 0.0:
-            raise ProblemFileError("horizon: must be a finite positive number")
     grid_points = data.get("grid")
     if grid_points is not None:
         if not isinstance(grid_points, int) or isinstance(grid_points, bool) or grid_points < 1:
@@ -130,7 +128,7 @@ def _parse_ode(data) -> LinearODE:
         raise ProblemFileError(f"ode: {exc}") from exc
 
 
-def _parse_conditions(data, n: int) -> ConditionPair:
+def _parse_conditions(data) -> ConditionPair:
     if not isinstance(data, dict):
         raise ProblemFileError("conditions: expected an object with fields kind, y")
     kind = _require(data, "conditions.kind")
@@ -139,10 +137,6 @@ def _parse_conditions(data, n: int) -> ConditionPair:
             f"conditions.kind: expected 'previous' or 'first', got {kind!r}"
         )
     y = _number_list(_require(data, "conditions.y"), "conditions.y")
-    if len(y) != n:
-        raise ProblemFileError(
-            f"conditions.y: expected length {n} (highest derivative first), got {len(y)}"
-        )
     return ConditionPair.previous(y) if kind == "previous" else ConditionPair.first(y)
 
 

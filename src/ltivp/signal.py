@@ -4,7 +4,9 @@ The class is closed under differentiation and has rational Laplace
 transforms, which is exactly what the closed-form solution pipeline needs.
 Modes come in exactly conjugate pairs, so every signal is real-valued on
 the reals; `Signal` checks this with no tolerance, and the closed form
-meets it by construction (`from_partial_fractions`).
+meets it by construction (`from_partial_fractions`).  Every amplitude and
+rate is finite: a mode that is not, whether given or produced by the
+arithmetic, raises ValueError.
 
 Evaluation is done in real arithmetic, one distinct rate at a time: the
 powers of a rate are summed by Horner's rule, a real rate costs one exp
@@ -19,6 +21,7 @@ t inside such a grid can differ in the last bits.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,10 +39,6 @@ from .poly import (
 )
 
 
-#: The one rate every rate with a NaN part becomes.
-_NAN_RATE = complex(math.nan, math.nan)
-
-
 class Mode(NamedTuple):
     amp: complex
     power: int
@@ -55,11 +54,8 @@ class Signal:
     checked exactly, with no tolerance: a mode at a real rate needs a real
     amplitude, and a mode at a complex rate needs the mode at the conjugate
     rate with the same power and the conjugate amplitude.  Rates and
-    amplitudes are never snapped or averaged; anything else raises
-    ValueError.  NaN compares as no mismatch, so that non-finite data
-    reaches the checks that can name its field: every rate with a NaN part
-    is one key, taken as real, and its mode is kept even where its
-    amplitudes cancel.
+    amplitudes are never snapped or averaged, and each must be finite;
+    anything else raises ValueError.
     """
 
     __slots__ = ("modes",)
@@ -67,12 +63,10 @@ class Signal:
     def __init__(self, modes=()):
         merged: dict[tuple[int, complex], complex] = {}
         for amp, power, rate in modes:
-            if power < 0 or power != int(power):
+            if not (power >= 0 and float(power).is_integer()):
                 raise ValueError("mode powers must be nonnegative integers")
             rate = complex(rate)
-            if rate != rate:
-                rate = _NAN_RATE  # NaN never equals itself: one shared key merges such modes
-            elif rate.imag == 0.0:
+            if rate.imag == 0.0:
                 rate = complex(rate.real, 0.0)  # one key and one repr for +0j and -0j
             key = (int(power), rate)
             merged[key] = merged.get(key, 0.0 + 0.0j) + complex(amp)
@@ -199,15 +193,19 @@ class Signal:
 
 
 def _real_modes(merged: dict[tuple[int, complex], complex]) -> tuple[Mode, ...]:
-    """The nonzero modes and any at the NaN rate, sorted, after the exact
-    conjugate-closure check."""
+    """The nonzero modes, sorted, after the finiteness and exact
+    conjugate-closure checks."""
     out: dict[tuple[int, complex], complex] = {}
     for (power, rate), amp in merged.items():
-        if amp == 0.0 and rate is not _NAN_RATE:
+        if not cmath.isfinite(rate):
+            raise ValueError(f"mode t^{power}*exp({rate}t) has a non-finite rate")
+        if not cmath.isfinite(amp):
+            raise ValueError(f"mode t^{power}*exp({rate}t) has non-finite amplitude {amp}")
+        if amp == 0.0:
             continue
-        if rate.imag > 0.0 or rate.imag < 0.0:  # not `!= 0.0`: a NaN rate takes the real branch
+        if rate.imag != 0.0:
             partner = merged.get((power, rate.conjugate()))
-            if partner is None or abs(partner - amp.conjugate()) > 0.0:
+            if partner is None or partner != amp.conjugate():
                 raise ValueError(
                     f"modes at rate {rate} are not conjugate-closed ({amp} vs {partner})"
                 )
@@ -215,7 +213,7 @@ def _real_modes(merged: dict[tuple[int, complex], complex]) -> tuple[Mode, ...]:
                 out[(power, rate)] = amp
                 out[(power, rate.conjugate())] = amp.conjugate()
         else:
-            if abs(amp.imag) > 0.0:
+            if amp.imag != 0.0:
                 raise ValueError(f"mode t^{power}*exp({rate}t) has non-real amplitude {amp}")
             out[(power, rate)] = complex(amp.real, 0.0)
     ordered = sorted(
@@ -422,9 +420,7 @@ def format_signal(x: Signal) -> str:
                 atoms.append((c, _atom(power, rate.real, ("cos", rate.imag))))
             if s != 0.0:
                 atoms.append((s, _atom(power, rate.real, ("sin", rate.imag))))
-        elif not rate.imag < 0.0:
-            # a real rate, or the NaN rate, which `_real_modes` also takes as
-            # real; a rate below the axis is folded into its conjugate partner
+        elif rate.imag == 0.0:
             atoms.append((amp.real, _atom(power, rate.real, None)))
     terms = []
     for coeff, body in atoms:

@@ -21,6 +21,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+#: finite data whose closed form overflows: Y(s) = inf / (s^3 + 3 s^2 + 2 s)
+OVERFLOW = {
+    "ode": {"a": [3, 2], "b": [0, 0, 1e308]},
+    "input": {"past": 0, "future": 1e308},
+    "conditions": {"kind": "first", "y": [0, 0]},
+    "horizon": 1,
+}
+
+
 def write_problem(tmp_path, data, name="p.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data) + "\n")
@@ -132,6 +141,11 @@ class TestCheck:
         assert code == 0
         assert "ssr: from file, n = 2" in out
         assert "equivalent: no (condition 2)" in out
+
+    def test_nan_gap_printed_as_nan(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "check", write_problem(tmp_path, OVERFLOW))
+        assert code == 0
+        assert "condition 2, same transfer function: no (sampled gap nan)" in out.splitlines()
 
     @pytest.mark.parametrize("command", ["solve", "map-ic", "realize", "check", "simulate"])
     def test_tolerance_env_is_ignored(self, capsys, monkeypatch, command):
@@ -275,6 +289,12 @@ class TestErrors:
         code, out, err = run(capsys, "simulate", path)
         assert code == 1 and out == ""
         assert err == "error: trajectory overflows: first non-finite sample at t = 150\n"
+
+    def test_overflowing_closed_form(self, capsys, tmp_path):
+        # no line of the solution is printed before the error
+        code, out, err = run(capsys, "solve", write_problem(tmp_path, OVERFLOW))
+        assert code == 1 and out == ""
+        assert err.startswith("error: mode ") and err.count("\n") == 1
 
 
 class TestColdStart:

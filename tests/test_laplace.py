@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from ltivp.laplace import (
 )
 from ltivp.ode import LinearODE, transfer_function
 from ltivp.poly import Polynomial, RationalFunction, partial_fractions, poly_roots
+from ltivp.problemfile import parse_signal_spec
 from ltivp.realization import StateSpace
 from ltivp.signal import PiecewiseInput, Signal, condition_stack, from_partial_fractions, laplace_transform
 from ltivp.simulate import simulate_ivp
@@ -75,18 +78,36 @@ NON_FINITE = {
 
 @pytest.mark.parametrize("field", NON_FINITE)
 def test_non_finite_data_rejected(field):
-    with pytest.raises(ValueError, match=rf"^{field}[: ]") as info:
+    # an input segment is rejected by its Signal, which names the mode; a
+    # problem file adds the field
+    start = "mode" if field.startswith("input.") else field
+    with pytest.raises(ValueError, match=rf"^{start}[: ]") as info:
         NON_FINITE[field]()
     assert "\n" not in str(info.value)
 
 
 def test_non_finite_frequency_reaches_the_field_check():
-    # every NaN rate is one key, taken as real, and Signal keeps its mode
-    # even where the amplitudes cancel (sine), so the problem can name the field
-    with pytest.raises(ValueError, match=r"^input\.past: "):
-        _problem_with(PiecewiseInput(Signal.cosine(np.nan), Signal.ramp()))
-    with pytest.raises(ValueError, match=r"^input\.future: "):
-        _problem_with(PiecewiseInput(Signal.ramp(), Signal.sine(np.nan)))
+    # a NaN frequency never reaches IVProblem: Signal rejects the rate, and a
+    # problem file rejects the number first, naming the field
+    for build in (Signal.cosine, Signal.sine):
+        with pytest.raises(ValueError, match=r"^mode .* has a non-finite rate$"):
+            PiecewiseInput(Signal.ramp(), build(np.nan))
+    for field, spec in (("input.past", "cos nan"), ("input.future", "sin nan")):
+        with pytest.raises(ValueError, match=rf"^{field}: expected a finite number, got nan$"):
+            parse_signal_spec(spec, field)
+
+
+def test_overflowing_closed_form_raises():
+    # finite data whose transform overflows: Y(s) = inf / (s^3 + 3 s^2 + 2 s)
+    problem = IVProblem(
+        LinearODE([3.0, 2.0], [0.0, 0.0, 1e308]),
+        PiecewiseInput(Signal.zero(), Signal.constant(1e308)),
+        ConditionPair.first([0.0, 0.0]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # reported once, by Signal, not warned about first
+        with pytest.raises(ValueError, match=r"^mode .* has non-finite amplitude"):
+            solve_ivp(problem)
 
 
 def assemble_by_columns(ode, Us, y_stack, u_stack):

@@ -41,22 +41,42 @@ class TestConstruction:
             Signal([(1.0, 0, complex(-2.0, 1e-12))])
 
     def test_non_integral_power_rejected(self):
-        with pytest.raises(ValueError, match="^mode powers must be nonnegative integers$"):
-            Signal([(1.0, 1.5, 0.0)])
+        for power in (1.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="^mode powers must be nonnegative integers$"):
+                Signal([(1.0, power, 0.0)])
 
     def test_signed_zeros_share_a_mode(self):
         s = Signal([(1.0, 0, complex(-2.0, -0.0)), (complex(1.0, -0.0), 0, -2.0)])
         assert repr(s) == "Signal([((2+0j), 0, (-2+0j))])"
 
     def test_nan_rates_share_a_mode(self):
-        # NaN never equals itself: only a shared key makes the two halves of
-        # the pair one mode, printed once
-        s = Signal.cosine(float("nan"))
-        assert len(s.modes) == 1
-        assert str(s) == "exp(nan*t)"
-        # kept where its amplitudes cancel, so the NaN still reaches the
-        # checks that name its field
-        assert str(Signal.sine(float("nan"))) == "0*exp(nan*t)"
+        # NaN never equals itself, so the two halves of a NaN-frequency pair
+        # are not one mode: whether their amplitudes add (cosine) or cancel
+        # (sine), the rate itself is rejected, once, on one line
+        for build in (Signal.cosine, Signal.sine):
+            with pytest.raises(ValueError) as info:
+                build(float("nan"))
+            assert str(info.value) == "mode t^0*exp((nan+nanj)t) has a non-finite rate"
+
+    def test_non_finite_modes_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        cases = [
+            (lambda: Signal.cosine(1.0, nan), "non-finite amplitude"),
+            (lambda: Signal.exponential(-inf), "a non-finite rate"),
+        ]
+        for build, part in cases:
+            with pytest.raises(ValueError, match=rf"^mode t\^0\*exp\(\S+t\) has {part}"):
+                build()
+
+    def test_overflowing_arithmetic_rejected(self):
+        # finite data whose sum, product or derivative is not finite
+        for build in (
+            lambda: Signal([(1e308, 0, 0.0), (1e308, 0, 0.0)]),
+            lambda: Signal.constant(1e308) * 10,
+            lambda: Signal.exponential(1e200, 1e200).derivative(),
+        ):
+            with pytest.raises(ValueError, match=r"^mode t\^0\*exp\(\S+t\) has non-finite amplitude"):
+                build()
 
     def test_exact_cancellation_drops_mode(self):
         s = Signal([(1.0, 1, -1.0), (-1.0, 1, -1.0)])
