@@ -64,15 +64,18 @@ def cmd_map_ic(parsed: ParsedProblem, args) -> int:
         raise ProblemFileError(
             "map-ic requires previous-form conditions (conditions.kind = 'previous')"
         )
+    # everything is computed before the first line, so a failure prints none
     y_prev, u_prev = laplace.stated_conditions(problem)
     y_first, u_first = laplace.first_conditions(problem)
-    M = markov_matrix(problem.ode)
-    print(f"Y(0-) = {_vec(y_prev)}")
-    print(f"U(0-) = {_vec(u_prev)}")
-    print(f"U(0+) = {_vec(u_first)}")
-    print(f"delta U = {_vec(u_first - u_prev)}")
-    print(f"M = {_mat(M)}")
-    print(f"Y(0+) = {_vec(y_first)}")
+    lines = [
+        f"Y(0-) = {_vec(y_prev)}",
+        f"U(0-) = {_vec(u_prev)}",
+        f"U(0+) = {_vec(u_first)}",
+        f"delta U = {_vec(u_first - u_prev)}",
+        f"M = {_mat(markov_matrix(problem.ode))}",
+        f"Y(0+) = {_vec(y_first)}",
+    ]
+    print("\n".join(lines))
     return 0
 
 

@@ -67,13 +67,18 @@ def map_previous_to_first(ode: LinearODE, y_prev, u_prev, u_first) -> np.ndarray
     """Y(0+) = Y(0-) + M (U(0+) - U(0-)).
 
     Follows from state continuity: subtract Y = O x + M U written at 0- and
-    at 0+; the O x terms cancel and only the input jump remains.
+    at 0+; the O x terms cancel and only the input jump remains.  Raises
+    ValueError, naming Y(0+), when that is not finite.
     """
     n = ode.n
     y_prev = _stack(y_prev, n, "y_prev")
     u_prev = _stack(u_prev, n, "u_prev")
     u_first = _stack(u_first, n, "u_first")
-    return y_prev + markov_matrix(ode) @ (u_first - u_prev)
+    y_first = y_prev + markov_matrix(ode) @ (u_first - u_prev)
+    # a non-finite M always leaves a non-finite entry here, so this covers M
+    if not np.isfinite(y_first).all():
+        raise ValueError("Y(0+) overflows: Y(0-) + M (U(0+) - U(0-)) is not finite")
+    return y_first
 
 
 def recover_state(ss: StateSpace, y_stack, u_stack) -> np.ndarray:

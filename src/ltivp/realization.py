@@ -101,7 +101,8 @@ def observable_canonical(ode: LinearODE) -> StateSpace:
     B = (b_n - b_0 a_n, ..., b_1 - b_0 a_1): the transfer function is
     b_0 + [B(s) - b_0 A(s)] / A(s), and in this form the k-th entry of B
     is the s^k coefficient of that numerator.  Integer coefficient data
-    therefore yields an exact integer B.
+    therefore yields an exact integer B.  Raises ValueError, naming the ODE,
+    when an entry of B overflows.
     """
     n = ode.n
     A = np.zeros((n, n))
@@ -110,8 +111,14 @@ def observable_canonical(ode: LinearODE) -> StateSpace:
     A[:, n - 1] = -ode.a[::-1]
     C = np.zeros(n)
     C[n - 1] = 1.0
-    b0 = ode.b[0]
-    return StateSpace(A, (ode.b[1:] - b0 * ode.a)[::-1], C, b0)
+    # Python floats round as numpy does, but overflow to inf without a warning
+    b0, *b = ode.b.tolist()
+    B = [bk - b0 * ak for bk, ak in zip(b, ode.a.tolist())]
+    if not all(map(math.isfinite, B)):
+        raise ValueError("ode: realization overflows: b_k - b_0 a_k is not finite")
+    # kept a reversed view: BLAS products with B round by its memory layout,
+    # and the states recovered from B are pinned to this layout's bits
+    return StateSpace(A, np.array(B)[::-1], C, b0)
 
 
 def ss_markov_parameters(ss: StateSpace, count: int) -> np.ndarray:

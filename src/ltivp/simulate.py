@@ -11,9 +11,9 @@ A uniform grid t_i = t_0 + i h (every `linspace` grid) costs one `expm`
 call when t_0 equals the step h bit for bit, as on most `default_grid`
 grids: the step matrix S = expm(aug h) then also carries the state from 0
 to t_0.  Any other uniform grid costs a second call, expm(aug t_0), for
-that first sample.  The samples are then filled by doubling: with the first m
-samples known, the next m are S^m times them, and S is squared, so a grid of
-N points takes ceil(log2 N) block products and no per-sample Python work.
+that first sample.  Samples are columns of one block, filled by doubling:
+with the first m known, the next m are S^m times them, and S is squared, so
+N points take ceil(log2 N) block products and no per-sample Python work.
 Any other grid is stepped sample by sample, one `expm` per step.  Either
 way the input is evaluated on the whole grid only when D != 0, for the D u
 feedthrough.
@@ -96,31 +96,30 @@ def _uniform_step(grid: np.ndarray) -> float | None:
 
 
 def _plant_states(aug: np.ndarray, w0: np.ndarray, grid: np.ndarray, n: int) -> np.ndarray:
-    """Rows w(t_i)[:n] of the solution of w' = aug w, w(0) = w0."""
+    """Rows w(t_i)[:n] of the solution of w' = aug w, w(0) = w0, as a
+    column-major (N, n) view of the block whose columns are the w(t_i)."""
     from scipy.linalg import expm
 
-    W = np.empty((len(grid), len(w0)))
+    W = np.empty((len(w0), len(grid)))
     h = _uniform_step(grid)
     if h is None:
-        W[0] = expm(aug * grid[0]) @ w0
+        W[:, 0] = expm(aug * grid[0]) @ w0
         for i in range(1, len(grid)):
-            W[i] = expm(aug * (grid[i] - grid[i - 1])) @ W[i - 1]
+            W[:, i] = expm(aug * (grid[i] - grid[i - 1])) @ W[:, i - 1]
     else:
         step = expm(aug * h)
         # when t_0 is the step, expm(aug t_0) is the same call on the same
         # array, so S carries the state to t_0 and one expm serves the grid
-        W[0] = step @ w0 if grid[0] == h else expm(aug * grid[0]) @ w0
-        # rows are samples, so the step acts as its transpose: with rows
-        # [0, m) known, rows [m, 2m) are those rows times (S^m)^T
-        step_t = step.T
+        W[:, 0] = step @ w0 if grid[0] == h else expm(aug * grid[0]) @ w0
+        # with columns [0, m) known, columns [m, 2m) are S^m times them
         done = 1
         while done < len(grid):
             take = min(done, len(grid) - done)
-            np.matmul(W[:take], step_t, out=W[done:done + take])
+            np.matmul(step, W[:, :take], out=W[:, done:done + take])
             done += take
             if done < len(grid):
-                step_t = step_t @ step_t
-    return np.ascontiguousarray(W[:, :n])
+                step = step @ step
+    return W[:n].T
 
 
 def simulate(ss: StateSpace, x0, input: Signal, grid) -> Trajectory:

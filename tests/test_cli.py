@@ -29,6 +29,14 @@ OVERFLOW = {
     "horizon": 1,
 }
 
+#: finite data whose realization overflows: b_1 - b_0 a_1 = 1e308 - 3e308
+REALIZATION_OVERFLOW = {
+    "ode": {"a": [3, 2], "b": [1e308, 1e308, 1e308]},
+    "input": {"past": 0, "future": "exp 1e200"},
+    "conditions": {"kind": "previous", "y": [0, 0]},
+    "horizon": 1,
+}
+
 
 def write_problem(tmp_path, data, name="p.json"):
     path = tmp_path / name
@@ -295,6 +303,22 @@ class TestErrors:
         code, out, err = run(capsys, "solve", write_problem(tmp_path, OVERFLOW))
         assert code == 1 and out == ""
         assert err.startswith("error: mode ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("map-ic", "Y(0+) overflows: Y(0-) + M (U(0+) - U(0-)) is not finite"),
+            ("realize", "ode: realization overflows: b_k - b_0 a_k is not finite"),
+            ("check", "ode: realization overflows: b_k - b_0 a_k is not finite"),
+            ("simulate", "ode: realization overflows: b_k - b_0 a_k is not finite"),
+        ],
+    )
+    def test_overflowing_realization(self, capsys, tmp_path, command, message):
+        # one error line and nothing printed before it; a RuntimeWarning on
+        # the way would fail the test
+        code, out, err = run(capsys, command, write_problem(tmp_path, REALIZATION_OVERFLOW))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestColdStart:

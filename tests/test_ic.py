@@ -57,6 +57,12 @@ class TestMapping:
         with pytest.raises(ValueError):
             map_previous_to_first(EX2, [1.0], [0.0, 1.0], [1.0, 0.0])
 
+    def test_non_finite_result_raises(self):
+        # M = [[1e308, -inf], [0, 1e308]] on finite coefficients
+        ode = LinearODE([3.0, 2.0], [1e308, 1e308, 1e308])
+        with pytest.raises(ValueError, match=r"^Y\(0\+\) overflows: Y\(0-\) \+ M \(U\(0\+\) - U\(0-\)\) is not finite$"):
+            map_previous_to_first(ode, [0.0, 0.0], [0.0, 0.0], [1e200, 1.0])
+
 
 class TestRecoverState:
     def test_worked_example(self):

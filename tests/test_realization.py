@@ -102,6 +102,22 @@ class TestObservableCanonical:
         assert_allclose(ss.C @ ss.B, -3.0)
         assert check_equivalence(EX2, ss).transfer_error < 1e-12
 
+    def test_overflowing_b_raises_naming_the_ode(self):
+        ode = LinearODE([3.0, 2.0], [1e308, 1e308, 1e308])
+        with pytest.raises(ValueError, match=r"^ode: realization overflows: b_k - b_0 a_k is not finite$"):
+            observable_canonical(ode)
+
+    def test_b_bits_and_layout(self):
+        # B is b_k - b_0 a_k rounded as numpy rounds it, stored as a reversed
+        # view: matrix-vector products with B round by its layout
+        rng = np.random.default_rng(810)
+        for _ in range(50):
+            ode = random_ode(rng, nmax=6)
+            want = (ode.b[1:] - ode.b[0] * ode.a)[::-1]
+            ss = observable_canonical(ode)
+            assert_array_equal(ss.B, want)
+            assert ss.B.strides == StateSpace(ss.A, want, ss.C, ss.D).B.strides
+
     def test_transfer_round_trip_random(self):
         rng = np.random.default_rng(809)
         worst = 0.0

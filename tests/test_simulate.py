@@ -11,7 +11,7 @@ from ltivp.laplace import IVProblem, solve_ivp
 from ltivp.ode import LinearODE
 from ltivp.realization import StateSpace, observable_canonical
 from ltivp.signal import PiecewiseInput, Signal
-from ltivp.simulate import _input_generator, _uniform_step, default_grid, simulate, simulate_ivp
+from ltivp.simulate import Trajectory, _input_generator, _uniform_step, default_grid, simulate, simulate_ivp
 
 from conftest import random_ode, random_signal
 
@@ -170,6 +170,57 @@ class TestUniformGrid:
         assert len(expm_calls) == 2
         assert_array_equal(traj.states, W[:, :2])
         assert_array_equal(traj.outputs, W[:, :2] @ ss.C)
+
+    @pytest.mark.parametrize(
+        "grid", [default_grid(30.0, 10_000), np.geomspace(1e-3, 30.0, 300)], ids=["default-10k", "geomspace"]
+    )
+    def test_columns_match_row_reference(self, grid):
+        # samples are stepped as columns; a row-layout reference (doubling by
+        # the transposed step on the uniform grid, one expm per step on the
+        # other) and a contiguous copy of its states give the same bits
+        ss = observable_canonical(LinearODE([6.0, 5.0], [2.0, 1.0, 1.0]))
+        assert ss.D != 0.0
+        u = Signal.cosine(1.3) + Signal.ramp()
+        x0 = np.array([0.7, -1.2])
+        J, z0 = _input_generator(u)
+        k = len(z0)
+        aug = np.zeros((2 + k, 2 + k))
+        aug[:2, :2] = ss.A
+        aug[:2, 2] = ss.B
+        aug[2:, 2:] = J
+        w0 = np.concatenate([x0, z0])
+        W = np.empty((len(grid), 2 + k))
+        h = _uniform_step(grid)
+        if h is None:
+            W[0] = expm(aug * grid[0]) @ w0
+            for i in range(1, len(grid)):
+                W[i] = expm(aug * (grid[i] - grid[i - 1])) @ W[i - 1]
+        else:
+            assert grid[0] == h
+            step = expm(aug * h)
+            W[0] = step @ w0
+            step_t = step.T
+            done = 1
+            while done < len(grid):
+                take = min(done, len(grid) - done)
+                W[done:done + take] = W[:take] @ step_t
+                done += take
+                step_t = step_t @ step_t
+        states = np.ascontiguousarray(W[:, :2])
+        outputs = states @ ss.C
+        outputs += ss.D * u(grid)
+        traj = simulate(ss, x0, u, grid)
+        assert_array_equal(traj.states, states)
+        assert_array_equal(traj.outputs, outputs)
+
+    def test_states_are_a_view(self):
+        ss = observable_canonical(LinearODE([6.0, 5.0], [2.0, 1.0, 1.0]))
+        grid = default_grid(3.0, 1000)
+        traj = simulate(ss, [0.5, -0.5], Signal.cosine(2.0) + Signal.ramp(), grid)
+        assert traj.states.shape == (1000, 2)
+        assert traj.states.base is not None
+        copied = Trajectory(traj.times, np.ascontiguousarray(traj.states), traj.outputs)
+        assert traj.csv_text() == copied.csv_text()
 
     def test_input_not_evaluated_without_feedthrough(self, monkeypatch):
         u = Signal.cosine(2.0) + Signal.ramp()
