@@ -81,14 +81,26 @@ def cmd_map_ic(parsed: ParsedProblem, args) -> int:
 
 def cmd_realize(parsed: ParsedProblem, args) -> int:
     ode = parsed.problem.ode
+    # everything is computed before the first line, so a failure prints none
     ss = observable_canonical(ode)
-    print(f"ode: {ode}")
-    print(f"A = {_mat(ss.A)}")
-    print(f"B = {_vec(ss.B)}")
-    print(f"C = {_vec(ss.C)}")
-    print(f"D = {fmt_number(ss.D)}")
-    print(f"markov parameters h_0..h_{ode.n} = {_vec(markov_parameters(ode, ode.n + 1))}")
-    print(f"observability O = {_mat(observability_matrix(ss))}")
+    h = markov_parameters(ode, ode.n + 1)
+    if not np.isfinite(h).all():
+        k = int(np.argmin(np.isfinite(h)))
+        raise ValueError(f"ode: Markov parameter h_{k} overflows: it is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        O = observability_matrix(ss)
+    if not np.isfinite(O).all():
+        raise ValueError("ode: observability matrix overflows: a row C A^k is not finite")
+    lines = [
+        f"ode: {ode}",
+        f"A = {_mat(ss.A)}",
+        f"B = {_vec(ss.B)}",
+        f"C = {_vec(ss.C)}",
+        f"D = {fmt_number(ss.D)}",
+        f"markov parameters h_0..h_{ode.n} = {_vec(h)}",
+        f"observability O = {_mat(O)}",
+    ]
+    print("\n".join(lines))
     return 0
 
 
@@ -97,22 +109,27 @@ def cmd_check(parsed: ParsedProblem, args) -> int:
     ode = problem.ode
     ss = parsed.ssr if parsed.ssr is not None else observable_canonical(ode)
     source = "from file" if parsed.ssr is not None else "observable canonical"
+    # everything is computed before the first line, so a failure prints none
     report = check_equivalence(ode, ss)
+    n = ode.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_jump = condition_stack(problem.input.future, n) - condition_stack(problem.input.past, n)
+    if not np.isfinite(u_jump).all():
+        raise ValueError("input: the jump U(0+) - U(0-) overflows: it is not finite")
+    creport = classify_continuity(ode, u_jump)
+
     gap = 0.0 if report.transfer_error < GAP_PRINT_FLOOR else report.transfer_error
-    print(f"ode: {ode}")
-    print(f"ssr: {source}, n = {ss.n}")
-    print(f"condition 1, same order: {'yes' if report.same_order else 'no'}")
-    print(
+    lines = [
+        f"ode: {ode}",
+        f"ssr: {source}, n = {ss.n}",
+        f"condition 1, same order: {'yes' if report.same_order else 'no'}",
         f"condition 2, same transfer function: "
-        f"{'yes' if report.transfer_match else 'no'} "
-        f"(sampled gap {gap:.3e})"
-    )
-    print(
+        f"{'yes' if report.transfer_match else 'no'} (sampled gap {gap:.3e})",
         f"condition 3, observable: {'yes' if report.observable else 'no'} "
-        f"(sigma ratio {report.sigma_ratio:.3e})"
-    )
+        f"(sigma ratio {report.sigma_ratio:.3e})",
+    ]
     if report.equivalent:
-        print("equivalent: yes (3/3)")
+        lines.append("equivalent: yes (3/3)")
     else:
         failed = [
             str(i)
@@ -122,17 +139,14 @@ def cmd_check(parsed: ParsedProblem, args) -> int:
             if not ok
         ]
         noun = "condition" if len(failed) == 1 else "conditions"
-        print(f"equivalent: no ({noun} {', '.join(failed)})")
-
-    n = ode.n
-    u_jump = condition_stack(problem.input.future, n) - condition_stack(problem.input.past, n)
-    creport = classify_continuity(ode, u_jump)
-    print(f"continuity at t = 0 (r = {creport.r}, m = {creport.m}):")
+        lines.append(f"equivalent: no ({noun} {', '.join(failed)})")
+    lines.append(f"continuity at t = 0 (r = {creport.r}, m = {creport.m}):")
     for entry in creport.entries:
         verdict = "continuous" if entry.continuous else "discontinuous"
-        print(f"  y^({entry.order}): jump {fmt_number(entry.jump)} -> {verdict}")
+        lines.append(f"  y^({entry.order}): jump {fmt_number(entry.jump)} -> {verdict}")
     predicted = "continuous" if creport.predicted_continuous else "discontinuous"
-    print(f"predicted from the input jump alone: output stack {predicted}")
+    lines.append(f"predicted from the input jump alone: output stack {predicted}")
+    print("\n".join(lines))
     return 0
 
 

@@ -68,13 +68,15 @@ def map_previous_to_first(ode: LinearODE, y_prev, u_prev, u_first) -> np.ndarray
 
     Follows from state continuity: subtract Y = O x + M U written at 0- and
     at 0+; the O x terms cancel and only the input jump remains.  Raises
-    ValueError, naming Y(0+), when that is not finite.
+    ValueError, naming Y(0+), when that is not finite; the overflow is
+    reported by that error alone, not warned about.
     """
     n = ode.n
     y_prev = _stack(y_prev, n, "y_prev")
     u_prev = _stack(u_prev, n, "u_prev")
     u_first = _stack(u_first, n, "u_first")
-    y_first = y_prev + markov_matrix(ode) @ (u_first - u_prev)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_first = y_prev + markov_matrix(ode) @ (u_first - u_prev)
     # a non-finite M always leaves a non-finite entry here, so this covers M
     if not np.isfinite(y_first).all():
         raise ValueError("Y(0+) overflows: Y(0-) + M (U(0+) - U(0-)) is not finite")
@@ -126,11 +128,16 @@ def classify_continuity(ode: LinearODE, u_jump) -> ContinuityReport:
     """Jumps Delta Y = M Delta U; each is continuous when |jump| <= JUMP_TOL.
 
     The bound is absolute, on the data's own scale, and applies alike to the
-    input-jump entries behind `predicted_continuous`.
+    input-jump entries behind `predicted_continuous`.  Raises ValueError,
+    naming delta Y, when that is not finite; the overflow is reported by
+    that error alone, not warned about.
     """
     n = ode.n
     u_jump = _stack(u_jump, n, "u_jump")
-    delta_y = markov_matrix(ode) @ u_jump
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta_y = markov_matrix(ode) @ u_jump
+    if not np.isfinite(delta_y).all():
+        raise ValueError("delta Y overflows: M (U(0+) - U(0-)) is not finite")
     entries = tuple(
         ContinuityEntry(
             order=j,

@@ -15,6 +15,11 @@ from the same side.
 Y(s) is inverted by partial fractions over its poles.  Only A(s) is
 root-found: the input's poles are known exactly from its signal (a rate
 whose highest power is t^k is a pole of multiplicity k + 1).
+
+Finite data can overflow on the way to y(t).  That is not warned about:
+each public entry (`solution_transform`, `invert`, `solve_ivp`) runs under
+one `np.errstate`, and when y(t) is built, `Signal` rejects the non-finite
+modes that result with one ValueError.
 """
 
 from __future__ import annotations
@@ -108,7 +113,8 @@ def solution_transform(problem: IVProblem) -> RationalFunction:
     first conditions beforehand would give the same transform, and mixing
     sides is the one thing that does not.
     """
-    return _transform(problem, transfer_function(problem.ode))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _transform(problem, transfer_function(problem.ode))
 
 
 def invert(problem: IVProblem, Ys: RationalFunction) -> Signal:
@@ -117,13 +123,15 @@ def invert(problem: IVProblem, Ys: RationalFunction) -> Signal:
     Every term of the expansion is kept as computed, with no threshold, so
     the result is exactly linear in the conditions and the input.
     """
-    return _expand(problem, Ys, transfer_function(problem.ode).den)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _expand(problem, Ys, transfer_function(problem.ode).den)
 
 
 def solve_ivp(problem: IVProblem) -> Signal:
     """Closed-form y(t) for t > 0 as an exponential-polynomial signal."""
     G = transfer_function(problem.ode)
-    return _expand(problem, _transform(problem, G), G.den)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _expand(problem, _transform(problem, G), G.den)
 
 
 def _transform(problem: IVProblem, G: RationalFunction) -> RationalFunction:
@@ -133,12 +141,7 @@ def _transform(problem: IVProblem, G: RationalFunction) -> RationalFunction:
 
 
 def _expand(problem: IVProblem, Ys: RationalFunction, A: Polynomial) -> Signal:
-    """y(t) from Ys, given A(s), the denominator of the transfer function.
-
-    An expansion that overflows is not warned about: `Signal` rejects its
-    non-finite modes with one ValueError.
-    """
+    """y(t) from Ys, given A(s), the denominator of the transfer function."""
     known = [(rate, max(powers) + 1) for rate, powers in problem.input.future.by_rate().items()]
-    with np.errstate(over="ignore", invalid="ignore"):
-        poles = poly.poly_roots(A, known)
-        return from_partial_fractions(partial_fractions(Ys, poles))
+    poles = poly.poly_roots(A, known)
+    return from_partial_fractions(partial_fractions(Ys, poles))

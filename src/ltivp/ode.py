@@ -61,16 +61,6 @@ class LinearODE:
         """Order of the equation."""
         return len(self.a)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinearODE)
-            and np.array_equal(self.a, other.a)
-            and np.array_equal(self.b, other.b)
-        )
-
-    def __hash__(self) -> int:
-        return hash((tuple(self.a), tuple(self.b)))
-
     def __repr__(self) -> str:
         return f"LinearODE(a={self.a.tolist()!r}, b={self.b.tolist()!r})"
 

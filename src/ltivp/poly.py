@@ -66,18 +66,10 @@ class Polynomial:
     def degree(self) -> int:
         return -1 if self.is_zero else len(self.coeffs) - 1
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(add_coeffs(self.coeffs, other.coeffs))
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, float)):
-            return Polynomial([other * c for c in self.coeffs])
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial.zero()
         return Polynomial(np.convolve(self.coeffs, other.coeffs))
@@ -136,25 +128,6 @@ class RationalFunction:
             # lead / lead is exactly 1; lead * (1 / lead) need not be
             self.num = Polynomial([c / lead for c in num.coeffs])
             self.den = Polynomial([c / lead for c in den.coeffs])
-
-    def max_cross_error(self, other: "RationalFunction") -> float:
-        """Largest coefficient of num1*den2 - num2*den1, relative to the
-        largest coefficient of either product (floored at 1).
-
-        Both denominators are monic by construction, so this measures
-        coefficient-level disagreement without requiring common factors to
-        have been cancelled on either side; the scaling keeps the figure
-        meaningful when the coefficients themselves are large.
-        """
-        left = self.num * other.den
-        right = other.num * self.den
-        scale = max(
-            1.0,
-            max((abs(c) for c in left.coeffs), default=0.0),
-            max((abs(c) for c in right.coeffs), default=0.0),
-        )
-        diff = left - right
-        return max(abs(c) for c in diff.coeffs) / scale
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
@@ -286,10 +259,20 @@ def poly_roots(p: Polynomial, known=()) -> list[tuple[complex, int]]:
     found = [(_centroid(g), len(g)) for g in _cluster(raw)]
     pairs = []
     for rate, k in known:
-        near = [(z, m) for z, m in found if abs(z - rate) <= _merge_radius(m + k) * (1.0 + abs(rate))]
+        near = [(z, m) for z, m in found if _near(z, rate, _merge_radius(m + k))]
         found = [zm for zm in found if zm not in near]
         pairs.append((complex(rate), k + sum(m for _, m in near)))
     return sorted(found + pairs, key=lambda rm: (rm[0].real, rm[0].imag))
+
+
+def _near(z: complex, rate: complex, radius: float) -> bool:
+    """|z - rate| <= radius (1 + |rate|), with radius < 1.  A distance beyond
+    the float range exceeds that bound, so it is not near, and neither is a
+    rate whose modulus is beyond the range."""
+    try:
+        return abs(z - rate) <= radius * (1.0 + abs(rate))
+    except OverflowError:  # complex abs raises rather than return inf
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ def _parse_ssr(data) -> StateSpace:
 
 
 def emit_problem(parsed: ParsedProblem) -> str:
-    """Canonical JSON for a parsed problem; re-parsing gives equal objects."""
+    """Canonical JSON for a parsed problem; re-parsing gives the same modes and arrays."""
     problem = parsed.problem
     data: dict = {
         "ode": {"a": problem.ode.a.tolist(), "b": problem.ode.b.tolist()},

@@ -53,15 +53,6 @@ class StateSpace:
     def n(self) -> int:
         return self.A.shape[0]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, StateSpace)
-            and np.array_equal(self.A, other.A)
-            and np.array_equal(self.B, other.B)
-            and np.array_equal(self.C, other.C)
-            and self.D == other.D
-        )
-
     def __repr__(self) -> str:
         return (
             f"StateSpace(A={self.A.tolist()!r}, B={self.B.tolist()!r}, "

@@ -1,12 +1,11 @@
 """Exponential-polynomial signals: finite sums of amp * t**power * exp(rate*t).
 
-The class is closed under differentiation and has rational Laplace
-transforms, which is exactly what the closed-form solution pipeline needs.
-Modes come in exactly conjugate pairs, so every signal is real-valued on
-the reals; `Signal` checks this with no tolerance, and the closed form
-meets it by construction (`from_partial_fractions`).  Every amplitude and
-rate is finite: a mode that is not, whether given or produced by the
-arithmetic, raises ValueError.
+Such a signal has a rational Laplace transform, which is exactly what the
+closed-form solution pipeline needs.  Modes come in exactly conjugate
+pairs, so every signal is real-valued on the reals; `Signal` checks this
+with no tolerance, and the closed form meets it by construction
+(`from_partial_fractions`).  Every amplitude and rate is finite: a mode
+that is not raises ValueError.
 
 Evaluation is done in real arithmetic, one distinct rate at a time: the
 powers of a rate are summed by Horner's rule, a real rate costs one exp
@@ -98,7 +97,7 @@ class Signal:
     def sine(cls, freq: float, amp: float = 1.0) -> "Signal":
         return cls([(-0.5j * amp, 0, 1j * freq), (0.5j * amp, 0, -1j * freq)])
 
-    # -- evaluation and calculus -------------------------------------------
+    # -- evaluation ---------------------------------------------------------
 
     def __call__(self, t):
         """Value at time t: a float for a scalar or 0-d t, else an array shaped like t.
@@ -139,15 +138,6 @@ class Signal:
             out += term
         return float(out) if out.ndim == 0 else out
 
-    def derivative(self) -> "Signal":
-        """Term-wise derivative: d/dt[t^k e^(rt)] = k t^(k-1) e^(rt) + r t^k e^(rt)."""
-        out = []
-        for amp, power, rate in self.modes:
-            if power > 0:
-                out.append((amp * power, power - 1, rate))
-            out.append((amp * rate, power, rate))
-        return Signal(out)
-
     @property
     def is_zero(self) -> bool:
         return not self.modes
@@ -159,31 +149,7 @@ class Signal:
             groups.setdefault(rate, {})[power] = amp
         return groups
 
-    # -- structural ---------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Signal) and self.modes == other.modes
-
-    def __hash__(self) -> int:
-        return hash(self.modes)
-
-    def __neg__(self) -> "Signal":
-        return Signal([(-amp, power, rate) for amp, power, rate in self.modes])
-
-    def __add__(self, other: "Signal") -> "Signal":
-        if not isinstance(other, Signal):
-            return NotImplemented
-        return Signal(list(self.modes) + list(other.modes))
-
-    def __sub__(self, other: "Signal") -> "Signal":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "Signal":
-        if not isinstance(scalar, (int, float)):
-            return NotImplemented
-        return Signal([(amp * scalar, power, rate) for amp, power, rate in self.modes])
-
-    __rmul__ = __mul__
+    # -- printing -----------------------------------------------------------
 
     def __str__(self) -> str:
         return format_signal(self)
@@ -305,7 +271,7 @@ def _pair_by_rows(amps: list[complex], w: float, t: np.ndarray, h: float) -> np.
     return _horner(grids, t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseInput:
     """Input with one analytic expression for t < 0 and another for t > 0.
 
@@ -319,20 +285,6 @@ class PiecewiseInput:
     @classmethod
     def step(cls) -> "PiecewiseInput":
         return cls(Signal.zero(), Signal.constant(1.0))
-
-    @classmethod
-    def smooth(cls, signal: Signal) -> "PiecewiseInput":
-        """An input with no switch: the same expression on both sides."""
-        return cls(signal, signal)
-
-    def __call__(self, t):
-        """Value at time t, the past expression where t < 0; a scalar or an ndarray."""
-        t_arr = np.asarray(t, dtype=float)
-        before = t_arr < 0
-        out = np.empty(t_arr.shape)
-        out[before] = self.past(t_arr[before])
-        out[~before] = self.future(t_arr[~before])
-        return float(out) if out.ndim == 0 else out
 
 
 def condition_stack(x: Signal, n: int) -> np.ndarray:

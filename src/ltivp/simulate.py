@@ -60,13 +60,18 @@ def _input_generator(u: Signal) -> tuple[np.ndarray, np.ndarray]:
     fixes u.  So z is that stack and J is the companion matrix of D: ones
     on the superdiagonal, last row -(d_K, ..., d_1).  A conjugate pair
     enters D as one real quadratic.  The zero signal needs no generator.
+    Raises ValueError, naming input.future, when |rate|^2 of a pair
+    overflows.
     """
     if u.is_zero:
         return np.zeros((0, 0)), np.zeros(0)
     d = np.ones(1)
     for rate, powers in u.by_rate().items():
         if rate.imag >= 0.0:  # the conjugate partner is in the quadratic
-            factor = [1.0, -rate.real] if rate.imag == 0.0 else [1.0, -2.0 * rate.real, abs(rate) ** 2]
+            try:
+                factor = [1.0, -rate.real] if rate.imag == 0.0 else [1.0, -2.0 * rate.real, abs(rate) ** 2]
+            except OverflowError:  # float ** raises rather than return inf
+                raise ValueError(f"input.future: rate {rate} overflows: |rate|^2 is not finite") from None
             for _ in range(max(powers) + 1):
                 d = np.convolve(d, factor)
     K = len(d) - 1

@@ -13,7 +13,7 @@ from hypothesis import settings
 
 from ltivp import LinearODE, Signal
 from ltivp.ode import _toeplitz
-from ltivp.poly import Polynomial, root_product
+from ltivp.poly import Polynomial, RationalFunction, root_product
 
 settings.register_profile("ltivp", derandomize=True, deadline=None)
 settings.load_profile("ltivp")
@@ -75,11 +75,11 @@ def random_signal(rng) -> Signal:
     if kind == 0:
         return Signal.constant(rng.uniform(-2.0, 2.0))
     if kind == 1:
-        return Signal.ramp(rng.uniform(-2.0, 2.0)) + Signal.constant(rng.uniform(-2.0, 2.0))
+        return signal_sum(Signal.ramp(rng.uniform(-2.0, 2.0)), Signal.constant(rng.uniform(-2.0, 2.0)))
     if kind == 2:
         return Signal.exponential(rng.uniform(-2.0, 1.0), rng.uniform(-2.0, 2.0))
     w = rng.uniform(0.5, 3.0)
-    return Signal.cosine(w, rng.uniform(-2.0, 2.0)) + Signal.sine(w, rng.uniform(-2.0, 2.0))
+    return signal_sum(Signal.cosine(w, rng.uniform(-2.0, 2.0)), Signal.sine(w, rng.uniform(-2.0, 2.0)))
 
 
 def ic_vectors(ode: LinearODE) -> tuple[np.ndarray, np.ndarray]:
@@ -91,3 +91,58 @@ def ic_vectors(ode: LinearODE) -> tuple[np.ndarray, np.ndarray]:
     """
     a_full = np.concatenate(([1.0], ode.a))
     return _toeplitz(a_full[: ode.n]), _toeplitz(ode.b[: ode.n])
+
+
+def signal_sum(*signals: Signal) -> Signal:
+    """The sum of the signals: `Signal` merges the modes of equal (power, rate)."""
+    return Signal([m for x in signals for m in x.modes])
+
+
+def signal_scaled(x: Signal, c: float) -> Signal:
+    """c times the signal, mode by mode."""
+    return Signal([(amp * c, power, rate) for amp, power, rate in x.modes])
+
+
+def derivative(x: Signal) -> Signal:
+    """Term-wise derivative: d/dt[t^k e^(rt)] = k t^(k-1) e^(rt) + r t^k e^(rt).
+
+    The reference the closed form's derivative stacks and substitution
+    checks are tested against; the package itself never differentiates a
+    signal (`condition_stack` takes the derivatives at 0 in closed form).
+    """
+    out = []
+    for amp, power, rate in x.modes:
+        if power > 0:
+            out.append((amp * power, power - 1, rate))
+        out.append((amp * rate, power, rate))
+    return Signal(out)
+
+
+def apply_side(x: Signal, coeffs, ts) -> np.ndarray:
+    """coeffs[0] x^(k) + ... + coeffs[k] x on the grid ts: one side of the ODE."""
+    derivs = [x]
+    for _ in range(len(coeffs) - 1):
+        derivs.append(derivative(derivs[-1]))
+    total = np.zeros_like(ts)
+    for c, k in zip(coeffs, range(len(coeffs) - 1, -1, -1)):
+        if c != 0.0:
+            total += c * derivs[k](ts)
+    return total
+
+
+def cross_error(f: RationalFunction, g: RationalFunction) -> float:
+    """Largest coefficient of num_f den_g - num_g den_f, relative to the
+    largest coefficient of either product (floored at 1).
+
+    Both denominators are monic by construction, so this measures
+    coefficient-level disagreement without requiring common factors to have
+    been cancelled on either side; the scaling keeps the figure meaningful
+    when the coefficients themselves are large.
+    """
+    left = np.convolve(f.num.coeffs, g.den.coeffs)
+    right = np.convolve(g.num.coeffs, f.den.coeffs)
+    size = max(len(left), len(right))
+    left = np.pad(left, (0, size - len(left)))
+    right = np.pad(right, (0, size - len(right)))
+    scale = max(1.0, np.max(np.abs(left)), np.max(np.abs(right)))
+    return float(np.max(np.abs(left - right)) / scale)

@@ -37,6 +37,15 @@ REALIZATION_OVERFLOW = {
     "horizon": 1,
 }
 
+#: finite data whose condition mapping overflows: M (U(0+) - U(0-)) + Y(0-)
+#: is 1e308 - 3e308 and 1.7e308 + 1e308
+JUMP_OVERFLOW = {
+    "ode": {"a": [6, 5], "b": [1, 3, 2]},
+    "input": {"past": 0, "future": 1e308},
+    "conditions": {"kind": "previous", "y": [0, 1.7e308]},
+    "horizon": 1,
+}
+
 
 def write_problem(tmp_path, data, name="p.json"):
     path = tmp_path / name
@@ -317,6 +326,61 @@ class TestErrors:
         # one error line and nothing printed before it; a RuntimeWarning on
         # the way would fail the test
         code, out, err = run(capsys, command, write_problem(tmp_path, REALIZATION_OVERFLOW))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, data, message",
+        [
+            ("solve", JUMP_OVERFLOW, "mode t^0*exp((-5+0j)t) has non-finite amplitude (nan+0j)"),
+            ("map-ic", JUMP_OVERFLOW, "Y(0+) overflows: Y(0-) + M (U(0+) - U(0-)) is not finite"),
+            ("check", JUMP_OVERFLOW, "delta Y overflows: M (U(0+) - U(0-)) is not finite"),
+            ("simulate", JUMP_OVERFLOW, "Y(0+) overflows: Y(0-) + M (U(0+) - U(0-)) is not finite"),
+            (
+                "check",
+                {**JUMP_OVERFLOW, "input": {"past": -1e308, "future": 1e308}},
+                "input: the jump U(0+) - U(0-) overflows: it is not finite",
+            ),
+            (
+                "simulate",
+                {
+                    **JUMP_OVERFLOW,
+                    "input": {"past": 0, "future": "cos 1e155"},
+                    "conditions": {"kind": "first", "y": [0, 0]},
+                },
+                "input.future: rate 1e+155j overflows: |rate|^2 is not finite",
+            ),
+            (
+                # the root 1.5e308 of A(s) is more than the float range away
+                # from the input rates +-1e308 i
+                "solve",
+                {
+                    "ode": {"a": [-1.5e308], "b": [0, 1]},
+                    "input": {"past": 0, "future": "cos 1e308"},
+                    "conditions": {"kind": "first", "y": [0]},
+                },
+                "mode t^0*exp(1e+308jt) has non-finite amplitude (nan+nanj)",
+            ),
+            (
+                "realize",
+                {**JUMP_OVERFLOW, "ode": {"a": [1e200, 1], "b": [1, 0, 0]}},
+                "ode: Markov parameter h_2 overflows: it is not finite",
+            ),
+            (
+                "realize",
+                {
+                    **JUMP_OVERFLOW,
+                    "ode": {"a": [1e200, 1, 1], "b": [0, 0, 0, 1]},
+                    "conditions": {"kind": "previous", "y": [0, 0, 0]},
+                },
+                "ode: observability matrix overflows: a row C A^k is not finite",
+            ),
+        ],
+    )
+    def test_overflow_is_one_error_line(self, capsys, tmp_path, command, data, message):
+        # computed before the first line is printed, and no RuntimeWarning
+        # (an error under this suite) or other exception on the way
+        code, out, err = run(capsys, command, write_problem(tmp_path, data))
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 

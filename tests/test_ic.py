@@ -63,6 +63,12 @@ class TestMapping:
         with pytest.raises(ValueError, match=r"^Y\(0\+\) overflows: Y\(0-\) \+ M \(U\(0\+\) - U\(0-\)\) is not finite$"):
             map_previous_to_first(ode, [0.0, 0.0], [0.0, 0.0], [1e200, 1.0])
 
+    def test_overflow_raises_without_warning(self):
+        # finite M and stacks: M dU = [1e308 - 3e308, 1e308], then + 1.7e308;
+        # a RuntimeWarning on the way would fail the test
+        with pytest.raises(ValueError, match=r"^Y\(0\+\) overflows"):
+            map_previous_to_first(EX2, [0.0, 1.7e308], [0.0, 0.0], [0.0, 1e308])
+
 
 class TestRecoverState:
     def test_worked_example(self):
@@ -151,6 +157,11 @@ class TestContinuity:
             assert y1.continuous is continuous
             assert report.entries[0].continuous
             assert report.predicted_continuous is continuous
+
+    def test_non_finite_jump_raises(self):
+        # finite M and jump: delta Y = [1e308 - 3e308, 1e308], with no RuntimeWarning
+        with pytest.raises(ValueError, match=r"^delta Y overflows: M \(U\(0\+\) - U\(0-\)\) is not finite$"):
+            classify_continuity(EX2, [0.0, 1e308])
 
     def test_prediction_matches_actual_random(self):
         rng = np.random.default_rng(36)

@@ -23,7 +23,7 @@ from ltivp.poly import (
 )
 from ltivp.signal import Signal, from_partial_fractions, laplace_transform
 
-from conftest import poly_from_roots, random_poles
+from conftest import cross_error, poly_from_roots, random_poles
 
 
 def _first_sites(sites, max_degree=16):
@@ -277,8 +277,6 @@ class TestPolynomial:
         s = Polynomial([0.0, 1.0])
         p = (s + Polynomial([1.0])) * (s + Polynomial([5.0]))
         assert p.coeffs == (5.0, 6.0, 1.0)
-        assert (p - p).is_zero
-        assert (s * 2.0).coeffs == (0.0, 2.0)
 
     def test_add_coeffs_keeps_real_input_real(self):
         real = add_coeffs((1.0, 2.0), (3.0,))
@@ -320,9 +318,9 @@ class TestRationalFunction:
         # (s+1)/(s^2+6s+5) vs 1/(s+5): same function, different representations
         a = RationalFunction(Polynomial([1.0, 1.0]), Polynomial([5.0, 6.0, 1.0]))
         b = RationalFunction(Polynomial([1.0]), Polynomial([5.0, 1.0]))
-        assert a.max_cross_error(b) == 0.0
+        assert cross_error(a, b) == 0.0
         c = RationalFunction(Polynomial([1.1]), Polynomial([5.0, 1.0]))
-        assert a.max_cross_error(c) > 0.05
+        assert cross_error(a, c) > 0.05
 
 
 class TestRoots:
@@ -391,6 +389,11 @@ class TestRoots:
         assert poly_roots(poly_from_roots([-1.0 + 1e-9]), [(-1.0, 2)]) == [(-1.0, 3)]
         assert poly_roots(poly_from_roots([-1.0, -1.0]), [(-1.0, 1)]) == [(-1.0, 3)]
         assert poly_roots(Polynomial([1.0, 0.0, 1.0]), [(1j, 1), (-1j, 1)]) == [(-1j, 2), (1j, 2)]
+
+    def test_rate_beyond_the_float_range_is_not_near(self):
+        # |1.5e308 - 1e308 i| is not a float: the root stays apart from both rates
+        got = poly_roots(Polynomial([-1.5e308, 1.0]), [(1e308j, 1), (-1e308j, 1)])
+        assert got == [(-1e308j, 1), (1e308j, 1), (1.5e308, 1)]
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
@@ -586,7 +589,7 @@ class TestPartialFractions:
         den = poly_from_roots(roots)
         rf = RationalFunction(Polynomial(num[: den.degree]), den)
         y = from_partial_fractions(partial_fractions(rf, poly_roots(rf.den)))
-        assert Signal(y.modes) == y
+        assert Signal(y.modes).modes == y.modes
 
     def test_recombination_property(self):
         """500 random proper rational functions survive expansion, inversion and

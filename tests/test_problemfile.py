@@ -29,7 +29,7 @@ def base_data(**overrides):
 
 class TestParseSignalSpec:
     def test_number_is_constant(self):
-        assert parse_signal_spec(2.5, "x") == Signal.constant(2.5)
+        assert parse_signal_spec(2.5, "x").modes == Signal.constant(2.5).modes
 
     def test_sugar(self):
         ts = np.linspace(0, 2, 9)
@@ -59,7 +59,7 @@ class TestParseSignalSpec:
             ],
             "x",
         )
-        assert got == Signal.cosine(2.0)
+        assert got.modes == Signal.cosine(2.0).modes
 
     def test_mode_arrays(self):
         # a mode is an object; [amp, power, rate] and [amp, power, re, im] are refused
@@ -91,16 +91,16 @@ class TestParseProblem:
         assert_allclose(p.ode.b, [1, 3, 2])
         assert p.conditions.kind == "previous"
         assert_allclose(p.conditions.y, [1, 0])
-        assert p.input.past == Signal.cosine(1.0)
-        assert p.input.future == Signal.ramp()
+        assert p.input.past.modes == Signal.cosine(1.0).modes
+        assert p.input.future.modes == Signal.ramp().modes
         assert p.horizon == 3.0
         assert parsed.grid_points == 100
         assert parsed.ssr is None
 
     def test_step_input_string(self):
         parsed = parse_problem(base_data(input="step"))
-        assert parsed.problem.input.past == Signal.zero()
-        assert parsed.problem.input.future == Signal.constant(1.0)
+        assert parsed.problem.input.past.modes == Signal.zero().modes
+        assert parsed.problem.input.future.modes == Signal.constant(1.0).modes
 
     def test_first_form_defaults_past_to_zero(self):
         data = base_data(
@@ -108,7 +108,7 @@ class TestParseProblem:
             conditions={"kind": "first", "y": [5, -1]},
         )
         parsed = parse_problem(data)
-        assert parsed.problem.input.past == Signal.zero()
+        assert parsed.problem.input.past.modes == Signal.zero().modes
         assert_allclose(parsed.problem.conditions.y, [5, -1])
 
     def test_previous_form_requires_past(self):
@@ -323,8 +323,8 @@ class TestEmit:
         )
         text = emit_problem(parsed)
         again = parse_problem(json.loads(text))
-        assert again.problem.input.past == parsed.problem.input.past
-        assert again.problem.input.future == parsed.problem.input.future
+        assert again.problem.input.past.modes == parsed.problem.input.past.modes
+        assert again.problem.input.future.modes == parsed.problem.input.future.modes
         assert_allclose(again.problem.ode.a, parsed.problem.ode.a)
         assert again.problem.conditions.kind == parsed.problem.conditions.kind
         assert again.grid_points == 150

@@ -15,6 +15,8 @@ from ltivp.signal import (
     laplace_transform,
 )
 
+from conftest import cross_error, derivative, signal_sum
+
 
 class TestConstruction:
     def test_zero(self):
@@ -69,14 +71,9 @@ class TestConstruction:
                 build()
 
     def test_overflowing_arithmetic_rejected(self):
-        # finite data whose sum, product or derivative is not finite
-        for build in (
-            lambda: Signal([(1e308, 0, 0.0), (1e308, 0, 0.0)]),
-            lambda: Signal.constant(1e308) * 10,
-            lambda: Signal.exponential(1e200, 1e200).derivative(),
-        ):
-            with pytest.raises(ValueError, match=r"^mode t\^0\*exp\(\S+t\) has non-finite amplitude"):
-                build()
+        # finite amplitudes of one (power, rate) whose merged sum is not finite
+        with pytest.raises(ValueError, match=r"^mode t\^0\*exp\(\S+t\) has non-finite amplitude"):
+            Signal([(1e308, 0, 0.0), (1e308, 0, 0.0)])
 
     def test_exact_cancellation_drops_mode(self):
         s = Signal([(1.0, 1, -1.0), (-1.0, 1, -1.0)])
@@ -114,11 +111,6 @@ class TestEvaluation:
 
     def test_scalar_returns_float(self):
         assert isinstance(Signal.ramp()(2.0), float)
-
-    def test_arithmetic(self):
-        s = 2.0 * Signal.ramp() - Signal.constant(3.0)
-        assert_allclose(s(2.0), 1.0)
-        assert (s - s).is_zero
 
 
 def mode_sum(x: Signal, t):
@@ -202,7 +194,7 @@ class TestEvaluationAgainstModeSum:
             n = int(rng.integers(1, 17))
             derivs = [x]
             for _ in range(n - 1):
-                derivs.append(derivs[-1].derivative())
+                derivs.append(derivative(derivs[-1]))
             want = np.array([mode_sum(d, 0.0) for d in reversed(derivs)])
             scale = np.zeros(n)
             for amp, power, rate in x.modes:
@@ -348,17 +340,17 @@ class TestDerivative:
     def test_polynomial_chain(self):
         # d/dt (t^2 e^{-t}) = 2 t e^{-t} - t^2 e^{-t}
         s = Signal([(1.0, 2, -1.0)])
-        d = s.derivative()
+        d = derivative(s)
         ts = np.linspace(0.1, 2, 17)
         assert_allclose(d(ts), 2 * ts * np.exp(-ts) - ts**2 * np.exp(-ts), atol=1e-12)
 
     def test_trig_rotation(self):
-        d = Signal.sine(3.0).derivative()
+        d = derivative(Signal.sine(3.0))
         ts = np.linspace(0, 1, 11)
         assert_allclose(d(ts), 3.0 * np.cos(3.0 * ts), atol=1e-12)
 
     def test_constant_derivative_zero(self):
-        assert Signal.constant(4.0).derivative().is_zero
+        assert derivative(Signal.constant(4.0)).is_zero
 
 
 class TestConditionStack:
@@ -380,40 +372,40 @@ class TestConditionStack:
 
 class TestLaplaceTransform:
     def test_constant(self):
-        assert laplace_transform(Signal.constant(1.0)).max_cross_error(
-            RationalFunction(Polynomial.one(), Polynomial([0.0, 1.0]))
+        assert cross_error(
+            laplace_transform(Signal.constant(1.0)), RationalFunction(Polynomial.one(), Polynomial([0.0, 1.0]))
         ) == 0.0
 
     def test_ramp(self):
-        assert laplace_transform(Signal.ramp()).max_cross_error(
-            RationalFunction(Polynomial.one(), Polynomial([0.0, 0.0, 1.0]))
+        assert cross_error(
+            laplace_transform(Signal.ramp()), RationalFunction(Polynomial.one(), Polynomial([0.0, 0.0, 1.0]))
         ) == 0.0
 
     def test_cosine(self):
         w = 2.0
         got = laplace_transform(Signal.cosine(w))
         want = RationalFunction(Polynomial([0.0, 1.0]), Polynomial([w * w, 0.0, 1.0]))
-        assert got.max_cross_error(want) < 1e-12
+        assert cross_error(got, want) < 1e-12
 
     def test_resonant_mode(self):
         # t e^{-t} -> 1/(s+1)^2
         got = laplace_transform(Signal([(1.0, 1, -1.0)]))
         want = RationalFunction(Polynomial.one(), Polynomial([1.0, 2.0, 1.0]))
-        assert got.max_cross_error(want) < 1e-12
+        assert cross_error(got, want) < 1e-12
 
     def test_zero(self):
         assert laplace_transform(Signal.zero()).num.is_zero
 
     def test_mixed_rates_common_denominator(self):
-        s = Signal.constant(2.0) + Signal.exponential(-3.0)
+        s = signal_sum(Signal.constant(2.0), Signal.exponential(-3.0))
         got = laplace_transform(s)
         want = RationalFunction(Polynomial([6.0, 3.0]), Polynomial([0.0, 3.0, 1.0]))
-        assert got.max_cross_error(want) < 1e-12
+        assert cross_error(got, want) < 1e-12
 
 
 class TestInverse:
     def test_round_trip(self):
-        s = Signal.constant(1.0) + Signal([(2.0, 1, -1.0)]) + Signal.sine(2.0)
+        s = signal_sum(Signal.constant(1.0), Signal([(2.0, 1, -1.0)]), Signal.sine(2.0))
         poles = [(0.0, 1), (-1.0, 2), (2j, 1), (-2j, 1)]
         back = from_partial_fractions(partial_fractions(laplace_transform(s), poles))
         ts = np.linspace(0, 3, 60)
@@ -469,21 +461,8 @@ class TestInverse:
 class TestPiecewiseInput:
     def test_step(self):
         d = PiecewiseInput.step()
-        assert d(-0.5) == 0.0
-        assert d(0.5) == 1.0
-
-    def test_smooth(self):
-        u = PiecewiseInput.smooth(Signal.ramp())
-        assert u(-2.0) == -2.0
-        assert u(2.0) == 2.0
-
-    def test_scalar_zero_d_and_array_times(self):
-        u = PiecewiseInput(past=Signal.cosine(1.0), future=Signal.ramp(2.0))
-        assert u(-1.0) == np.cos(-1.0) and isinstance(u(-1.0), float)
-        assert u(np.array(3.0)) == 6.0 and isinstance(u(np.array(3.0)), float)
-        ts = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-        assert_allclose(u(ts), [np.cos(-2.0), np.cos(-0.5), 0.0, 1.0, 4.0], atol=1e-15)
-        assert_array_equal(PiecewiseInput.step()(np.array([-1.0, 1.0])), [0.0, 1.0])
+        assert d.past.modes == ()
+        assert [tuple(m) for m in d.future.modes] == [(1 + 0j, 0, 0j)]
 
 
 class TestFormatting:
@@ -491,11 +470,11 @@ class TestFormatting:
         assert format_signal(Signal.zero()) == "0"
 
     def test_term_order_descending_decay(self):
-        s = Signal.constant(-0.04) + Signal.ramp(0.2) + Signal([(0.25, 0, -1.0), (-0.21, 0, -5.0)])
+        s = signal_sum(Signal.constant(-0.04), Signal.ramp(0.2), Signal([(0.25, 0, -1.0), (-0.21, 0, -5.0)]))
         assert format_signal(s) == "-0.21*exp(-5*t) + 0.25*exp(-1*t) - 0.04 + 0.2*t"
 
     def test_trig_folding(self):
-        s = Signal.cosine(2.0, 3.0) + Signal.sine(2.0, -1.5)
+        s = signal_sum(Signal.cosine(2.0, 3.0), Signal.sine(2.0, -1.5))
         assert format_signal(s) == "3*cos(2*t) - 1.5*sin(2*t)"
 
     def test_polynomial_powers(self):

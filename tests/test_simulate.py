@@ -13,7 +13,7 @@ from ltivp.realization import StateSpace, observable_canonical
 from ltivp.signal import PiecewiseInput, Signal
 from ltivp.simulate import Trajectory, _input_generator, _uniform_step, default_grid, simulate, simulate_ivp
 
-from conftest import random_ode, random_signal
+from conftest import random_ode, random_signal, signal_sum
 
 EX1 = LinearODE([6.0, 5.0], [0.0, 1.0, 1.0])
 
@@ -138,7 +138,7 @@ class TestUniformGrid:
         assert ss.D == 2.0
         grid = default_grid(3.0, 1000)
         assert grid[0] == _uniform_step(grid)  # t_0 is the step
-        simulate(ss, [0.5, -0.5], Signal.cosine(2.0) + Signal.ramp(), grid)
+        simulate(ss, [0.5, -0.5], signal_sum(Signal.cosine(2.0), Signal.ramp()), grid)
         assert len(u_calls) == 1
         assert len(expm_calls) == 1
 
@@ -180,7 +180,7 @@ class TestUniformGrid:
         # other) and a contiguous copy of its states give the same bits
         ss = observable_canonical(LinearODE([6.0, 5.0], [2.0, 1.0, 1.0]))
         assert ss.D != 0.0
-        u = Signal.cosine(1.3) + Signal.ramp()
+        u = signal_sum(Signal.cosine(1.3), Signal.ramp())
         x0 = np.array([0.7, -1.2])
         J, z0 = _input_generator(u)
         k = len(z0)
@@ -216,14 +216,14 @@ class TestUniformGrid:
     def test_states_are_a_view(self):
         ss = observable_canonical(LinearODE([6.0, 5.0], [2.0, 1.0, 1.0]))
         grid = default_grid(3.0, 1000)
-        traj = simulate(ss, [0.5, -0.5], Signal.cosine(2.0) + Signal.ramp(), grid)
+        traj = simulate(ss, [0.5, -0.5], signal_sum(Signal.cosine(2.0), Signal.ramp()), grid)
         assert traj.states.shape == (1000, 2)
         assert traj.states.base is not None
         copied = Trajectory(traj.times, np.ascontiguousarray(traj.states), traj.outputs)
         assert traj.csv_text() == copied.csv_text()
 
     def test_input_not_evaluated_without_feedthrough(self, monkeypatch):
-        u = Signal.cosine(2.0) + Signal.ramp()
+        u = signal_sum(Signal.cosine(2.0), Signal.ramp())
         ss = observable_canonical(EX1)
         assert ss.D == 0.0
         grid = default_grid(3.0, 1000)
@@ -255,7 +255,7 @@ class TestSimulateIVP:
     def test_matches_closed_form(self):
         problem = IVProblem(
             ode=EX1,
-            input=PiecewiseInput.smooth(Signal.ramp()),
+            input=PiecewiseInput(Signal.ramp(), Signal.ramp()),
             conditions=ConditionPair.first([1.0, 0.0]),
             horizon=3.0,
         )
@@ -267,7 +267,7 @@ class TestSimulateIVP:
     def test_needs_grid_or_horizon(self):
         problem = IVProblem(
             ode=EX1,
-            input=PiecewiseInput.smooth(Signal.zero()),
+            input=PiecewiseInput(Signal.zero(), Signal.zero()),
             conditions=ConditionPair.first([0.0, 0.0]),
         )
         with pytest.raises(ValueError):
@@ -306,8 +306,8 @@ class TestSimulateIVP:
 #: inputs whose generator has K >= 3 states, or a fast rate over a long horizon
 LONG_INPUTS = {
     "t2_damped_cos": Signal([(0.5, 2, complex(-1.5, 0.5)), (0.5, 2, complex(-1.5, -0.5))]),
-    "exp_plus_cubic": Signal.exponential(-8.0) + Signal([(0.3, 3, 0.0)]),
-    "cos_plus_exp": Signal.cosine(10.0) + Signal.exponential(-5.0),
+    "exp_plus_cubic": signal_sum(Signal.exponential(-8.0), Signal([(0.3, 3, 0.0)])),
+    "cos_plus_exp": signal_sum(Signal.cosine(10.0), Signal.exponential(-5.0)),
     "cos50": Signal.cosine(50.0),
 }
 #: (poles, b): distinct poles, none at an input rate; the second has D != 0
@@ -355,7 +355,7 @@ class TestTrajectoryCSV:
         traj = simulate_ivp(
             IVProblem(
                 ode=EX1,
-                input=PiecewiseInput.smooth(Signal.ramp()),
+                input=PiecewiseInput(Signal.ramp(), Signal.ramp()),
                 conditions=ConditionPair.first([1.0, 0.0]),
             ),
             grid=np.linspace(0.1, 1.0, 10),
