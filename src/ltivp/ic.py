@@ -9,7 +9,7 @@ instant recovers the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +36,6 @@ def _stack(x, n: int, name: str) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True, eq=False)
 class ConditionPair:
     """Output conditions stated on one side of the switch.
 
@@ -45,14 +44,15 @@ class ConditionPair:
     segment on that side (past for 0-, future for 0+).
     """
 
-    kind: str
-    y: np.ndarray
+    __slots__ = ("kind", "y")
 
-    def __post_init__(self):
-        if self.kind not in ("previous", "first"):
-            raise ValueError(f"kind must be 'previous' or 'first', got {self.kind!r}")
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float).reshape(-1))
-        require_finite("y", self.y)
+    def __init__(self, kind: str, y):
+        if kind not in ("previous", "first"):
+            raise ValueError(f"kind must be 'previous' or 'first', got {kind!r}")
+        y = np.asarray(y, dtype=float).reshape(-1)
+        require_finite("y", y)
+        self.kind = kind
+        self.y = y
 
     @classmethod
     def previous(cls, y) -> "ConditionPair":
@@ -84,11 +84,15 @@ def map_previous_to_first(ode: LinearODE, y_prev, u_prev, u_first) -> np.ndarray
 
 
 def recover_state(ss: StateSpace, y_stack, u_stack) -> np.ndarray:
-    """Solve O x = Y - M U for the state at the instant of the stacks."""
+    """Solve O x = Y - M U for the state at the instant of the stacks.
+
+    `ss` is the realization of an ODE, so a row of O that overflows raises
+    a ValueError naming `ode`, before the observability verdict.
+    """
     n = ss.n
     y_stack = _stack(y_stack, n, "y_stack")
     u_stack = _stack(u_stack, n, "u_stack")
-    O = observability_matrix(ss)
+    O = observability_matrix(ss, "ode")
     ratio = observability_ratio(O)
     if not ratio > OBSERVABILITY_RTOL:
         raise NotObservable(
@@ -98,8 +102,7 @@ def recover_state(ss: StateSpace, y_stack, u_stack) -> np.ndarray:
     return np.linalg.solve(O, y_stack - ss_markov_matrix(ss) @ u_stack)
 
 
-@dataclass(frozen=True)
-class ContinuityEntry:
+class ContinuityEntry(NamedTuple):
     """Jump verdict for one output derivative order."""
 
     order: int
@@ -107,7 +110,6 @@ class ContinuityEntry:
     continuous: bool
 
 
-@dataclass(frozen=True, eq=False)
 class ContinuityReport:
     """Per-derivative jumps Delta Y = M Delta U plus the structural verdict.
 
@@ -116,12 +118,23 @@ class ContinuityReport:
     input jump (u, u', ..., u^(m-1)) vanish, where m = n - r.
     """
 
-    r: int
-    m: int
-    delta_y: np.ndarray
-    entries: tuple[ContinuityEntry, ...]
-    fully_continuous: bool
-    predicted_continuous: bool
+    __slots__ = ("r", "m", "delta_y", "entries", "fully_continuous", "predicted_continuous")
+
+    def __init__(
+        self,
+        r: int,
+        m: int,
+        delta_y: np.ndarray,
+        entries: tuple[ContinuityEntry, ...],
+        fully_continuous: bool,
+        predicted_continuous: bool,
+    ):
+        self.r = r
+        self.m = m
+        self.delta_y = delta_y
+        self.entries = entries
+        self.fully_continuous = fully_continuous
+        self.predicted_continuous = predicted_continuous
 
 
 def classify_continuity(ode: LinearODE, u_jump) -> ContinuityReport:

@@ -25,7 +25,6 @@ modes that result with one ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .poly import Polynomial, RationalFunction, partial_fractions
 from .signal import PiecewiseInput, Signal, condition_stack, from_partial_fractions, laplace_transform
 
 
-@dataclass(frozen=True, eq=False)
 class IVProblem:
     """An ODE, a piecewise input switching at t = 0, and condition data.
 
@@ -44,17 +42,24 @@ class IVProblem:
     finite modes only); here they are checked against each other.
     """
 
-    ode: LinearODE
-    input: PiecewiseInput
-    conditions: ConditionPair
-    horizon: float | None = None
+    __slots__ = ("ode", "input", "conditions", "horizon")
 
-    def __post_init__(self):
-        n, k = self.ode.n, len(self.conditions.y)
+    def __init__(
+        self,
+        ode: LinearODE,
+        input: PiecewiseInput,
+        conditions: ConditionPair,
+        horizon: float | None = None,
+    ):
+        n, k = ode.n, len(conditions.y)
         if k != n:
             raise ValueError(f"conditions.y: expected length {n} (highest derivative first), got {k}")
-        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
+        if horizon is not None and not 0.0 < horizon < math.inf:
             raise ValueError("horizon: must be a finite positive number")
+        self.ode = ode
+        self.input = input
+        self.conditions = conditions
+        self.horizon = horizon
 
 
 def assemble(ode: LinearODE, G: RationalFunction, Us: RationalFunction, y_stack, u_stack) -> RationalFunction:
@@ -90,11 +95,19 @@ def assemble(ode: LinearODE, G: RationalFunction, Us: RationalFunction, y_stack,
     )
 
 
+def _input_stack(problem: IVProblem, kind: str) -> np.ndarray:
+    """U(0-) off the past segment for kind "previous", else U(0+) off the
+    future one; a ValueError naming that segment when the stack overflows."""
+    segment, side = ("past", "U(0-)") if kind == "previous" else ("future", "U(0+)")
+    u = condition_stack(getattr(problem.input, segment), problem.ode.n)
+    if np.count_nonzero(np.isfinite(u)) != len(u):
+        raise ValueError(f"input.{segment}: the stack {side} overflows: it is not finite")
+    return u
+
+
 def stated_conditions(problem: IVProblem) -> tuple[np.ndarray, np.ndarray]:
     """(Y, U) on the side the conditions are stated: U from that input segment."""
-    cond = problem.conditions
-    segment = problem.input.past if cond.kind == "previous" else problem.input.future
-    return cond.y, condition_stack(segment, problem.ode.n)
+    return problem.conditions.y, _input_stack(problem, problem.conditions.kind)
 
 
 def first_conditions(problem: IVProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +115,7 @@ def first_conditions(problem: IVProblem) -> tuple[np.ndarray, np.ndarray]:
     y, u = stated_conditions(problem)
     if problem.conditions.kind == "first":
         return y, u
-    u_first = condition_stack(problem.input.future, problem.ode.n)
+    u_first = _input_stack(problem, "first")
     return map_previous_to_first(problem.ode, y, u, u_first), u_first
 
 

@@ -25,11 +25,13 @@ import numpy as np
 from .poly import Polynomial, RationalFunction, fmt_number, signed_sum
 
 
-def require_finite(field: str, values) -> None:
-    """Raise a one-line ValueError naming `field` unless every value is finite."""
-    arr = np.asarray(values)
-    if not np.isfinite(arr).all():
-        bad = arr[~np.isfinite(arr)].flat[0]
+def require_finite(field: str, values: np.ndarray) -> None:
+    """Raise a one-line ValueError naming `field` unless every entry of the
+    array `values` is finite."""
+    finite = np.isfinite(values)
+    # count_nonzero is one C call; ndarray.all() goes through Python
+    if np.count_nonzero(finite) != finite.size:
+        bad = values[~finite].flat[0]
         raise ValueError(f"{field}: expected finite numbers, got {bad}")
 
 
@@ -39,8 +41,8 @@ class LinearODE:
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
+        a = np.array(a, dtype=float, ndmin=1)
+        b = np.array(b, dtype=float, ndmin=1)
         if a.ndim != 1 or b.ndim != 1:
             raise ValueError("coefficient arrays must be one-dimensional")
         if len(a) < 1:
@@ -51,7 +53,7 @@ class LinearODE:
             )
         require_finite("a", a)
         require_finite("b", b)
-        if not np.any(b):
+        if not np.count_nonzero(b):
             raise ValueError("all input coefficients are zero; the input never acts")
         self.a = a
         self.b = b

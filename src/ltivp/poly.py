@@ -27,7 +27,7 @@ that produces a coefficient stays a numpy complex128 division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -279,8 +279,7 @@ def _near(z: complex, rate: complex, radius: float) -> bool:
 # partial fractions
 
 
-@dataclass(frozen=True)
-class PartialFractionTerm:
+class PartialFractionTerm(NamedTuple):
     """One expansion term coeff / (s - pole)**order."""
 
     pole: complex

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from numbers import Real
 
 from .errors import ProblemFileError
@@ -37,11 +36,15 @@ from .realization import StateSpace
 from .signal import PiecewiseInput, Signal
 
 
-@dataclass(frozen=True, eq=False)
 class ParsedProblem:
-    problem: IVProblem
-    grid_points: int | None
-    ssr: StateSpace | None
+    """A parsed problem file: the IVP, the optional grid size and ssr block."""
+
+    __slots__ = ("problem", "grid_points", "ssr")
+
+    def __init__(self, problem: IVProblem, grid_points: int | None, ssr: StateSpace | None):
+        self.problem = problem
+        self.grid_points = grid_points
+        self.ssr = ssr
 
 
 def load_problem(path: str) -> ParsedProblem:
@@ -59,65 +62,92 @@ def load_problem(path: str) -> ParsedProblem:
     return parse_problem(data)
 
 
+_TOP_FIELDS = frozenset(("ode", "input", "conditions", "horizon", "grid", "ssr"))
+_MODE_FIELDS = frozenset(("amp", "power", "rate"))
+
+
 def parse_problem(data) -> ParsedProblem:
     if not isinstance(data, dict):
         raise ProblemFileError("problem file must contain a JSON object")
-    unknown = set(data) - {"ode", "input", "conditions", "horizon", "grid", "ssr"}
-    if unknown:
-        raise ProblemFileError(f"unknown top-level fields: {', '.join(sorted(unknown))}")
+    if not data.keys() <= _TOP_FIELDS:
+        unknown = sorted(set(data) - _TOP_FIELDS)
+        raise ProblemFileError(f"unknown top-level fields: {', '.join(unknown)}")
 
-    ode = _parse_ode(_require(data, "ode"))
-    conditions = _parse_conditions(_require(data, "conditions"))
-    input_ = _parse_input(_require(data, "input"), conditions.kind)
+    ode = _parse_ode(_require(data, "ode", "ode"))
+    conditions = _parse_conditions(_require(data, "conditions", "conditions"))
+    input_ = _parse_input(_require(data, "input", "input"), conditions.kind)
 
     horizon = data.get("horizon")
     if horizon is not None:
         horizon = _number(horizon, "horizon")
     grid_points = data.get("grid")
     if grid_points is not None:
-        if not isinstance(grid_points, int) or isinstance(grid_points, bool) or grid_points < 1:
+        if type(grid_points) is not int or grid_points < 1:
             raise ProblemFileError("grid: must be a positive integer")
     ssr = _parse_ssr(data["ssr"]) if "ssr" in data else None
 
     try:
-        problem = IVProblem(ode=ode, input=input_, conditions=conditions, horizon=horizon)
+        problem = IVProblem(ode, input_, conditions, horizon)
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from exc
-    return ParsedProblem(problem=problem, grid_points=grid_points, ssr=ssr)
+    return ParsedProblem(problem, grid_points, ssr)
 
 
-def _require(data: dict, field: str):
-    """data[key] for the last component key of the dotted field name."""
-    key = field.rsplit(".", 1)[-1]
-    if key not in data:
-        raise ProblemFileError(f"{field}: missing required field")
-    return data[key]
+# A field is named by a path: a dotted name such as "ode.a", or a tuple of a
+# path and the indices and keys below it, such as (("input.future", 0), "rate")
+# for input.future[0].rate.  Paths are cheap to build, and `_name` spells one
+# out only for an error message.
 
 
-def _number(value, field: str, expected: str = "a number") -> float:
-    """A finite JSON number (not a bool) as a float, else an error naming the field."""
-    if not isinstance(value, Real) or isinstance(value, bool):
-        raise ProblemFileError(f"{field}: expected {expected}, got {value!r}")
+def _name(path) -> str:
+    if isinstance(path, str):
+        return path
+    name = _name(path[0])
+    for part in path[1:]:
+        name += f"[{part}]" if isinstance(part, int) else f".{part}"
+    return name
+
+
+def _require(data: dict, key: str, path):
+    """data[key], else an error naming the field at `path`."""
     try:
-        x = float(value)
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise ProblemFileError(f"{field}: expected a finite number, got {x}")
-    return x
+        return data[key]
+    except KeyError:
+        raise ProblemFileError(f"{_name(path)}: missing required field") from None
 
 
-def _number_list(value, field: str) -> list[float]:
-    if not isinstance(value, list) or not value:
-        raise ProblemFileError(f"{field}: expected a nonempty array of numbers")
-    return [_number(v, f"{field}[{i}]") for i, v in enumerate(value)]
+def _number(value, path, expected: str = "a number") -> float:
+    """A finite JSON number (not a bool) as a float, else an error naming the field.
+
+    A float, what the JSON parser makes of most numbers, is taken as it is;
+    an int or any other `numbers.Real` but a bool is converted, an integer
+    beyond the float range to inf.
+    """
+    if type(value) is float:
+        x = value
+    elif type(value) is int or (isinstance(value, Real) and not isinstance(value, bool)):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+    else:
+        raise ProblemFileError(f"{_name(path)}: expected {expected}, got {value!r}")
+    if math.isfinite(x):
+        return x
+    raise ProblemFileError(f"{_name(path)}: expected a finite number, got {x}")
+
+
+def _number_list(values, path) -> list[float]:
+    if not isinstance(values, list) or not values:
+        raise ProblemFileError(f"{_name(path)}: expected a nonempty array of numbers")
+    return [_number(v, (path, i)) for i, v in enumerate(values)]
 
 
 def _parse_ode(data) -> LinearODE:
     if not isinstance(data, dict):
         raise ProblemFileError("ode: expected an object with fields a, b")
-    a = _number_list(_require(data, "ode.a"), "ode.a")
-    b = _number_list(_require(data, "ode.b"), "ode.b")
+    a = _number_list(_require(data, "a", "ode.a"), "ode.a")
+    b = _number_list(_require(data, "b", "ode.b"), "ode.b")
     if len(b) != len(a) + 1:
         raise ProblemFileError(
             f"ode.b: expected length {len(a) + 1} (= n+1 for n = {len(a)}), got {len(b)}"
@@ -131,13 +161,12 @@ def _parse_ode(data) -> LinearODE:
 def _parse_conditions(data) -> ConditionPair:
     if not isinstance(data, dict):
         raise ProblemFileError("conditions: expected an object with fields kind, y")
-    kind = _require(data, "conditions.kind")
+    kind = _require(data, "kind", "conditions.kind")
     if kind not in ("previous", "first"):
         raise ProblemFileError(
             f"conditions.kind: expected 'previous' or 'first', got {kind!r}"
         )
-    y = _number_list(_require(data, "conditions.y"), "conditions.y")
-    return ConditionPair.previous(y) if kind == "previous" else ConditionPair.first(y)
+    return ConditionPair(kind, _number_list(_require(data, "y", "conditions.y"), "conditions.y"))
 
 
 def _parse_input(data, kind: str) -> PiecewiseInput:
@@ -145,7 +174,7 @@ def _parse_input(data, kind: str) -> PiecewiseInput:
         return PiecewiseInput.step()
     if not isinstance(data, dict):
         raise ProblemFileError("input: expected an object with fields past, future")
-    future = parse_signal_spec(_require(data, "input.future"), "input.future")
+    future = parse_signal_spec(_require(data, "future", "input.future"), "input.future")
     if "past" in data:
         past = parse_signal_spec(data["past"], "input.past")
     elif kind == "first":
@@ -154,7 +183,7 @@ def _parse_input(data, kind: str) -> PiecewiseInput:
         raise ProblemFileError(
             "input.past: required when conditions.kind is 'previous'"
         )
-    return PiecewiseInput(past=past, future=future)
+    return PiecewiseInput(past, future)
 
 
 _SUGAR_ARITY = {"zero": 0, "step": 0, "ramp": 0, "cos": 1, "sin": 1, "exp": 1}
@@ -203,17 +232,16 @@ def _parse_sugar(spec: str, field: str) -> Signal:
 def _parse_modes(entries: list, field: str) -> Signal:
     modes = []
     for i, entry in enumerate(entries):
-        label = f"{field}[{i}]"
         if not isinstance(entry, dict):
-            raise ProblemFileError(f"{label}: expected an object with fields amp, power, rate")
-        extra = set(entry) - {"amp", "power", "rate"}
-        if extra:
-            raise ProblemFileError(f"{label}: unknown fields {', '.join(sorted(extra))}")
-        amp = _complex_entry(_require(entry, f"{label}.amp"), f"{label}.amp")
-        rate = _complex_entry(_require(entry, f"{label}.rate"), f"{label}.rate")
+            raise ProblemFileError(f"{field}[{i}]: expected an object with fields amp, power, rate")
+        if not entry.keys() <= _MODE_FIELDS:
+            extra = sorted(set(entry) - _MODE_FIELDS)
+            raise ProblemFileError(f"{field}[{i}]: unknown fields {', '.join(extra)}")
+        amp = _complex_entry(entry, "amp", field, i)
+        rate = _complex_entry(entry, "rate", field, i)
         power = entry.get("power", 0)
-        if not isinstance(power, int) or isinstance(power, bool) or power < 0:
-            raise ProblemFileError(f"{label}: power must be a nonnegative integer")
+        if type(power) is not int or power < 0:
+            raise ProblemFileError(f"{field}[{i}]: power must be a nonnegative integer")
         modes.append((amp, power, rate))
     try:
         return Signal(modes)
@@ -221,22 +249,25 @@ def _parse_modes(entries: list, field: str) -> Signal:
         raise ProblemFileError(f"{field}: {exc}") from exc
 
 
-def _complex_entry(value, field: str) -> complex:
+def _complex_entry(entry: dict, key: str, field: str, i: int) -> complex:
+    """entry[key], a number or an [re, im] pair, as a complex number."""
+    path = ((field, i), key)
+    value = _require(entry, key, path)
     if isinstance(value, list) and len(value) == 2:
-        return complex(_number(value[0], f"{field}[0]"), _number(value[1], f"{field}[1]"))
-    return complex(_number(value, field, "a number or [re, im] pair"), 0.0)
+        return complex(_number(value[0], (path, 0)), _number(value[1], (path, 1)))
+    return complex(_number(value, path, "a number or [re, im] pair"), 0.0)
 
 
 def _parse_ssr(data) -> StateSpace:
     if not isinstance(data, dict):
         raise ProblemFileError("ssr: expected an object with fields A, B, C, D")
-    A_rows = _require(data, "ssr.A")
+    A_rows = _require(data, "A", "ssr.A")
     if not isinstance(A_rows, list) or not A_rows:
         raise ProblemFileError("ssr.A: expected a nonempty array of rows")
-    A = [_number_list(row, f"ssr.A[{i}]") for i, row in enumerate(A_rows)]
-    B = _number_list(_require(data, "ssr.B"), "ssr.B")
-    C = _number_list(_require(data, "ssr.C"), "ssr.C")
-    D = _number(_require(data, "ssr.D"), "ssr.D")
+    A = [_number_list(row, ("ssr.A", i)) for i, row in enumerate(A_rows)]
+    B = _number_list(_require(data, "B", "ssr.B"), "ssr.B")
+    C = _number_list(_require(data, "C", "ssr.C"), "ssr.C")
+    D = _number(_require(data, "D", "ssr.D"), "ssr.D")
     try:
         return StateSpace(A, B, C, D)
     except ValueError as exc:

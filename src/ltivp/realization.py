@@ -10,7 +10,7 @@ initial-state recovery and the jump mapping in the ic module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +39,12 @@ class StateSpace:
         n = A.shape[0]
         if n < 1 or len(B) != n or len(C) != n:
             raise ValueError("B and C must have length matching A")
+        require_finite("A", A)
+        require_finite("B", B)
+        require_finite("C", C)
         D = float(D)
-        finite = np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(C).all()
-        if not (finite and math.isfinite(D)):
-            for field, values in (("A", A), ("B", B), ("C", C), ("D", D)):
-                require_finite(field, values)
+        if not math.isfinite(D):
+            raise ValueError(f"D: expected finite numbers, got {D}")
         self.A = A
         self.B = B
         self.C = C
@@ -130,13 +131,20 @@ def ss_markov_matrix(ss: StateSpace) -> np.ndarray:
     return _toeplitz(ss_markov_parameters(ss, ss.n))
 
 
-def observability_matrix(ss: StateSpace) -> np.ndarray:
-    """Rows C A^(n-1), ..., C A, C from top to bottom."""
+def observability_matrix(ss: StateSpace, field: str = "ssr") -> np.ndarray:
+    """Rows C A^(n-1), ..., C A, C from top to bottom.
+
+    Raises ValueError, naming `field`, when a row overflows; the overflow
+    is reported by that error alone, not warned about.
+    """
     n = ss.n
     O = np.zeros((n, n))
     O[n - 1] = ss.C
-    for i in range(n - 2, -1, -1):
-        O[i] = O[i + 1] @ ss.A
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 2, -1, -1):
+            O[i] = O[i + 1] @ ss.A
+    if np.count_nonzero(np.isfinite(O)) != O.size:
+        raise ValueError(f"{field}: observability matrix overflows: a row C A^k is not finite")
     return O
 
 
@@ -146,8 +154,7 @@ def observability_ratio(O: np.ndarray) -> float:
     return float(sigmas[-1] / sigmas[0]) if sigmas[0] > 0.0 else 0.0
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Outcome of the three-part ODE/state-space comparison."""
 
     same_order: bool
@@ -161,7 +168,7 @@ class EquivalenceReport:
         return self.same_order and self.transfer_match and self.observable
 
 
-def check_equivalence(ode: LinearODE, ss: StateSpace) -> EquivalenceReport:
+def check_equivalence(ode: LinearODE, ss: StateSpace, ss_field: str = "ssr") -> EquivalenceReport:
     """Same order, same transfer function, observable realization.
 
     The transfer functions are compared by value: C (sI - A)^(-1) B + D
@@ -179,6 +186,11 @@ def check_equivalence(ode: LinearODE, ss: StateSpace) -> EquivalenceReport:
     largest |G_ss - G_ode| / (1 + |G_ode|) over the points, and the
     functions match when it is at most TRANSFER_TOL.  The realization is
     observable when its sigma ratio exceeds OBSERVABILITY_RTOL.
+
+    Raises ValueError when the gap or the observability matrix is not
+    finite (an equation that overflows at the sample points), naming `ode`
+    when B(s)/A(s) does and `ss_field` when the state-space side does; the
+    overflow is reported by that error alone, not warned about.
     """
     same_order = ss.n == ode.n
     a_desc = np.concatenate(([1.0], ode.a))
@@ -187,12 +199,16 @@ def check_equivalence(ode: LinearODE, ss: StateSpace) -> EquivalenceReport:
     inner = 0.5 * np.min(moduli[moduli > 0.0], initial=1.0)
     count = 2 * max(ss.n, ode.n) + 2
     unit = np.exp(1j * np.pi * (2 * np.arange(count) + 1) / count)
-    s = np.concatenate((1.5 * (rho + 1.0) * unit, inner * unit))
-    rhs = np.broadcast_to(ss.B[:, None], (2 * count, ss.n, 1))
-    g_ss = np.linalg.solve(s[:, None, None] * np.eye(ss.n) - ss.A, rhs)[:, :, 0] @ ss.C + ss.D
-    g_ode = np.polyval(ode.b, s) / np.polyval(a_desc, s)
-    err = np.max(np.abs(g_ss - g_ode) / (1.0 + np.abs(g_ode)))
-    ratio = observability_ratio(observability_matrix(ss))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = np.concatenate((1.5 * (rho + 1.0) * unit, inner * unit))
+        rhs = np.broadcast_to(ss.B[:, None], (2 * count, ss.n, 1))
+        g_ss = np.linalg.solve(s[:, None, None] * np.eye(ss.n) - ss.A, rhs)[:, :, 0] @ ss.C + ss.D
+        g_ode = np.polyval(ode.b, s) / np.polyval(a_desc, s)
+        err = np.max(np.abs(g_ss - g_ode) / (1.0 + np.abs(g_ode)))
+    if not np.isfinite(err):
+        field = "ode" if not np.isfinite(g_ode).all() else ss_field
+        raise ValueError(f"{field}: transfer function overflows at a sample point: the sampled gap is not finite")
+    ratio = observability_ratio(observability_matrix(ss, ss_field))
     return EquivalenceReport(
         same_order=same_order,
         transfer_match=bool(err <= TRANSFER_TOL),

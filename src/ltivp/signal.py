@@ -20,9 +20,7 @@ t inside such a grid can differ in the last bits.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +60,8 @@ class Signal:
     def __init__(self, modes=()):
         merged: dict[tuple[int, complex], complex] = {}
         for amp, power, rate in modes:
-            if not (power >= 0 and float(power).is_integer()):
+            # an int needs no float conversion to show it is an integer
+            if not (power >= 0 and (type(power) is int or float(power).is_integer())):
                 raise ValueError("mode powers must be nonnegative integers")
             rate = complex(rate)
             if rate.imag == 0.0:
@@ -161,11 +160,11 @@ class Signal:
 def _real_modes(merged: dict[tuple[int, complex], complex]) -> tuple[Mode, ...]:
     """The nonzero modes, sorted, after the finiteness and exact
     conjugate-closure checks."""
-    out: dict[tuple[int, complex], complex] = {}
+    modes: list[Mode] = []
     for (power, rate), amp in merged.items():
-        if not cmath.isfinite(rate):
+        if not (math.isfinite(rate.real) and math.isfinite(rate.imag)):
             raise ValueError(f"mode t^{power}*exp({rate}t) has a non-finite rate")
-        if not cmath.isfinite(amp):
+        if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
             raise ValueError(f"mode t^{power}*exp({rate}t) has non-finite amplitude {amp}")
         if amp == 0.0:
             continue
@@ -176,17 +175,15 @@ def _real_modes(merged: dict[tuple[int, complex], complex]) -> tuple[Mode, ...]:
                     f"modes at rate {rate} are not conjugate-closed ({amp} vs {partner})"
                 )
             if rate.imag > 0.0:
-                out[(power, rate)] = amp
-                out[(power, rate.conjugate())] = amp.conjugate()
+                modes.append(Mode(amp, power, rate))
+                modes.append(Mode(amp.conjugate(), power, rate.conjugate()))
         else:
             if amp.imag != 0.0:
                 raise ValueError(f"mode t^{power}*exp({rate}t) has non-real amplitude {amp}")
-            out[(power, rate)] = complex(amp.real, 0.0)
-    ordered = sorted(
-        out.items(),
-        key=lambda kv: (-abs(kv[0][1].real), kv[0][1].real, kv[0][1].imag, kv[0][0]),
-    )
-    return tuple(Mode(amp, power, rate) for (power, rate), amp in ordered)
+            modes.append(Mode(complex(amp.real, 0.0), power, rate))
+    # no two modes share (power, rate), so the order is total
+    modes.sort(key=lambda m: (-abs(m.rate.real), m.rate.real, m.rate.imag, m.power))
+    return tuple(modes)
 
 
 def _horner(coeffs: list[float], t: np.ndarray):
@@ -271,7 +268,6 @@ def _pair_by_rows(amps: list[complex], w: float, t: np.ndarray, h: float) -> np.
     return _horner(grids, t)
 
 
-@dataclass(frozen=True, eq=False)
 class PiecewiseInput:
     """Input with one analytic expression for t < 0 and another for t > 0.
 
@@ -279,8 +275,11 @@ class PiecewiseInput:
     past = 0, future = 1.
     """
 
-    past: Signal
-    future: Signal
+    __slots__ = ("past", "future")
+
+    def __init__(self, past: Signal, future: Signal):
+        self.past = past
+        self.future = future
 
     @classmethod
     def step(cls) -> "PiecewiseInput":

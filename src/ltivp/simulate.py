@@ -24,8 +24,6 @@ else needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ic import _stack, recover_state
@@ -35,13 +33,15 @@ from .realization import StateSpace, observable_canonical
 from .signal import Signal, condition_stack
 
 
-@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled solution: times, per-sample states (rows), and outputs."""
 
-    times: np.ndarray
-    states: np.ndarray
-    outputs: np.ndarray
+    __slots__ = ("times", "states", "outputs")
+
+    def __init__(self, times: np.ndarray, states: np.ndarray, outputs: np.ndarray):
+        self.times = times
+        self.states = states
+        self.outputs = outputs
 
     def csv_text(self) -> str:
         """CSV with header t,y,x1..xn; 17 significant digits round-trip doubles."""
@@ -162,7 +162,7 @@ def simulate(ss: StateSpace, x0, input: Signal, grid) -> Trajectory:
         finite = np.isfinite(outputs) & np.isfinite(states).all(axis=1)
         t_bad = fmt_number(grid[np.argmin(finite)])
         raise ValueError(f"trajectory overflows: first non-finite sample at t = {t_bad}")
-    return Trajectory(times=grid, states=states, outputs=outputs)
+    return Trajectory(grid, states, outputs)
 
 
 def default_grid(t_f: float, points: int = 200) -> np.ndarray:

@@ -37,6 +37,41 @@ REALIZATION_OVERFLOW = {
     "horizon": 1,
 }
 
+#: finite data whose sampled transfer function B(s)/A(s) overflows: |s| ~ 1.5e200
+GAP_OVERFLOW = {
+    "ode": {"a": [1e200, 1], "b": [1, 0, 0]},
+    "input": "step",
+    "conditions": {"kind": "first", "y": [0, 0]},
+}
+
+#: finite data whose observability row C A^2 overflows: A holds -1e200
+OBSERVABILITY_OVERFLOW = {
+    "ode": {"a": [1e200, 1, 1], "b": [0, 0, 0, 1]},
+    "input": "step",
+    "conditions": {"kind": "previous", "y": [0, 0, 0]},
+    "horizon": 1,
+}
+
+#: finite data whose input stack U(0+) overflows: u''(0+) = 1e400
+STACK_OVERFLOW = {
+    "ode": {"a": [6, 11, 6], "b": [0, 0, 0, 1]},
+    "input": {"past": 0, "future": "exp 1e200"},
+    "conditions": {"kind": "previous", "y": [0, 0, 0]},
+    "horizon": 1,
+}
+
+#: finite data whose input stack U(0+) overflows: u'(0+) = 2e308 off the
+#: pair of rates 1e308 +- i
+PAIR_OVERFLOW = {
+    "ode": {"a": [6, 5], "b": [1, 3, 2]},
+    "input": {
+        "past": 0,
+        "future": [{"amp": 1, "rate": [1e308, 1]}, {"amp": 1, "rate": [1e308, -1]}],
+    },
+    "conditions": {"kind": "first", "y": [0, 0]},
+    "horizon": 1,
+}
+
 #: finite data whose condition mapping overflows: M (U(0+) - U(0-)) + Y(0-)
 #: is 1e308 - 3e308 and 1.7e308 + 1e308
 JUMP_OVERFLOW = {
@@ -159,10 +194,15 @@ class TestCheck:
         assert "ssr: from file, n = 2" in out
         assert "equivalent: no (condition 2)" in out
 
-    def test_nan_gap_printed_as_nan(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "check", write_problem(tmp_path, OVERFLOW))
-        assert code == 0
-        assert "condition 2, same transfer function: no (sampled gap nan)" in out.splitlines()
+    def test_non_finite_gap_is_an_error(self, capsys, tmp_path):
+        # the state-space side of OVERFLOW overflows at the sample points:
+        # the file's ssr is named, or the ODE when its canonical realization
+        # stands in for a missing ssr; nothing is printed before the error
+        canonical = {"A": [[0, -2], [1, -3]], "B": [1e308, 0], "C": [0, 1], "D": 0}
+        for data, field in ((OVERFLOW, "ode"), ({**OVERFLOW, "ssr": canonical}, "ssr")):
+            code, out, err = run(capsys, "check", write_problem(tmp_path, data))
+            assert code == 1 and out == ""
+            assert err == f"error: {field}: transfer function overflows at a sample point: the sampled gap is not finite\n"
 
     @pytest.mark.parametrize("command", ["solve", "map-ic", "realize", "check", "simulate"])
     def test_tolerance_env_is_ignored(self, capsys, monkeypatch, command):
@@ -375,6 +415,26 @@ class TestErrors:
                 },
                 "ode: observability matrix overflows: a row C A^k is not finite",
             ),
+            (
+                "check",
+                GAP_OVERFLOW,
+                "ode: transfer function overflows at a sample point: the sampled gap is not finite",
+            ),
+            (
+                "check",
+                OBSERVABILITY_OVERFLOW,
+                "ode: transfer function overflows at a sample point: the sampled gap is not finite",
+            ),
+            ("simulate", OBSERVABILITY_OVERFLOW, "ode: observability matrix overflows: a row C A^k is not finite"),
+            ("map-ic", STACK_OVERFLOW, "input.future: the stack U(0+) overflows: it is not finite"),
+            ("simulate", STACK_OVERFLOW, "input.future: the stack U(0+) overflows: it is not finite"),
+            (
+                "map-ic",
+                {**STACK_OVERFLOW, "input": {"past": "exp 1e200", "future": 0}},
+                "input.past: the stack U(0-) overflows: it is not finite",
+            ),
+            ("solve", PAIR_OVERFLOW, "input.future: the stack U(0+) overflows: it is not finite"),
+            ("simulate", PAIR_OVERFLOW, "input.future: the stack U(0+) overflows: it is not finite"),
         ],
     )
     def test_overflow_is_one_error_line(self, capsys, tmp_path, command, data, message):

@@ -81,6 +81,14 @@ class TestRecoverState:
         ss = observable_canonical(EX2)
         assert_allclose(recover_state(ss, [0.0, 0.0], [0.0, 0.0]), [0.0, 0.0])
 
+    def test_overflowing_observability_matrix_raises(self):
+        # C A^2 of the canonical realization holds 1e400: the ODE is named,
+        # before any observability verdict, and no RuntimeWarning is given
+        ss = observable_canonical(LinearODE([1e200, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match=r"^ode: observability matrix overflows") as info:
+            recover_state(ss, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        assert not isinstance(info.value, NotObservable)
+
     def test_round_trip_random(self):
         rng = np.random.default_rng(34)
         worst = 0.0

@@ -208,6 +208,8 @@ NON_FINITE = {
     },
     "ssr.D": {"ssr": {**SSR, "D": NAN}},
     "ssr.A[1][0]": {"ssr": {**SSR, "A": [[0, -5], [INF, -6]]}},
+    "ssr.B[1]": {"ssr": {**SSR, "B": [1, 10**400]}},
+    "input.future[0].amp[0]": {"input": {"past": "zero", "future": [{"amp": [-INF, 0], "rate": -1}]}},
 }
 
 
@@ -275,6 +277,41 @@ REJECTED = {
         "input.future: expected a number, a sugar string, or a mode list, got {'modes': [{'amp': 1, 'rate': -1}]}",
     ),
     "empty ssr.A": (base_data(ssr={**SSR, "A": []}), [], "ssr.A: expected a nonempty array of rows"),
+    "bool in ode.b": (
+        base_data(ode={"a": [6, 5], "b": [1, True, 2]}),
+        [],
+        "ode.b[1]: expected a number, got True",
+    ),
+    "string in ssr.A": (
+        base_data(ssr={**SSR, "A": [[0, -5], ["1", -6]]}),
+        [],
+        "ssr.A[1][0]: expected a number, got '1'",
+    ),
+    "null in a rate pair": (
+        base_data(input={"past": "zero", "future": [{"amp": 1, "rate": [None, 0]}]}),
+        [],
+        "input.future[0].rate[0]: expected a number, got None",
+    ),
+    "power true": (
+        base_data(input={"past": "zero", "future": [{**MODE, "power": True}]}),
+        [],
+        "input.future[0]: power must be a nonnegative integer",
+    ),
+    "power -1": (
+        base_data(input={"past": "zero", "future": [{**MODE, "power": -1}]}),
+        [],
+        "input.future[0]: power must be a nonnegative integer",
+    ),
+    "power 1.5": (
+        base_data(input={"past": "zero", "future": [{**MODE, "power": 1.5}]}),
+        [],
+        "input.future[0]: power must be a nonnegative integer",
+    ),
+    "3-entry amp": (
+        base_data(input={"past": "zero", "future": [{"amp": [1, 0, 0], "rate": -1}]}),
+        [],
+        "input.future[0].amp: expected a number or [re, im] pair, got [1, 0, 0]",
+    ),
     "--grid 0": (base_data(), ["--grid", "0", "--csv", "out.csv"], "--grid must be at least 1"),
 }
 
@@ -294,6 +331,34 @@ def test_rejection_is_one_line(case, tmp_path, capsys, monkeypatch):
     assert main([command, "bad.json", *args]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_numpy_floats_and_ints_parse_as_floats():
+    # the JSON parser makes ints and floats; a dict built in Python may hold
+    # numpy scalars, which are numbers too
+    as_floats = parse_problem(
+        base_data(
+            ode={"a": [6.0, 5.0], "b": [1.0, 3.5, 2.0]},
+            input={"past": "zero", "future": [{"amp": [2.0, 0.0], "power": 1, "rate": -1.0}]},
+            ssr={"A": [[0.0, -5.0], [1.0, -6.0]], "B": [1.0, 1.0], "C": [0.0, 1.0], "D": 0.5},
+        )
+    )
+    mixed = parse_problem(
+        base_data(
+            ode={"a": [np.float64(6), 5], "b": [1, np.float64(3.5), np.int64(2)]},
+            input={"past": "zero", "future": [{"amp": [2, np.float64(0)], "power": 1, "rate": np.float64(-1)}]},
+            ssr={"A": [[0, np.float64(-5)], [1, -6]], "B": [1, 1], "C": [0, 1], "D": np.float64(0.5)},
+        )
+    )
+    for got, want in (
+        (mixed.problem.ode.a, as_floats.problem.ode.a),
+        (mixed.problem.ode.b, as_floats.problem.ode.b),
+        (mixed.ssr.A, as_floats.ssr.A),
+    ):
+        assert got.dtype == float and got.tolist() == want.tolist()
+    assert type(mixed.ssr.D) is float and mixed.ssr.D == 0.5
+    assert mixed.problem.input.future.modes == as_floats.problem.input.future.modes
+    assert emit_problem(mixed) == emit_problem(as_floats)
 
 
 class TestLoadProblem:

@@ -170,6 +170,14 @@ class TestObservabilityMatrix:
             O = observability_matrix(observable_canonical(ode))
             assert abs(np.linalg.det(O)) > 1e-9
 
+    def test_overflow_raises_naming_the_field(self):
+        # C A^2 holds 1e400; a RuntimeWarning on the way would fail the test
+        ss = observable_canonical(LinearODE([1e200, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match=r"^ssr: observability matrix overflows"):
+            observability_matrix(ss)
+        with pytest.raises(ValueError, match=r"^ode: observability matrix overflows"):
+            observability_matrix(ss, "ode")
+
 
 class TestMarkovMatrix:
     def test_biproper_example(self):
@@ -216,6 +224,17 @@ class TestEquivalence:
         report = check_equivalence(EX1, other)
         assert report.same_order
         assert not report.transfer_match
+
+    def test_overflowing_gap_raises_naming_the_side(self):
+        # B(s)/A(s) overflows on the outer circle, |s| ~ 1.5e200; with it
+        # finite, B = [1e308, 0] makes the state-space side overflow
+        big = LinearODE([1e200, 1.0], [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"^ode: transfer function overflows"):
+            check_equivalence(big, observable_canonical(big))
+        ode = LinearODE([3.0, 2.0], [0.0, 0.0, 1e308])
+        for field in ("ssr", "ode"):
+            with pytest.raises(ValueError, match=rf"^{field}: transfer function overflows"):
+                check_equivalence(ode, observable_canonical(ode), field)
 
     @pytest.mark.parametrize("scale, match", [(1e-12, True), (1e-6, False)])
     def test_transfer_verdict_reads_the_gap(self, scale, match):
