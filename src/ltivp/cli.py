@@ -5,11 +5,16 @@ file (JSON, see problemfile) and --echo.  `solve` prints the closed form
 only; `simulate` is the one subcommand that runs the state-space route, and
 the only one with --csv, --grid and --horizon.
 Output is deterministic: the same file always prints the same bytes.
+
+`ltivp` and `python -m ltivp.cli` go through `run`, which freezes the
+garbage collector after the subcommand.  From Python, call `main(argv)`: it
+only returns the exit status and freezes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 import numpy as np
@@ -26,7 +31,7 @@ from .realization import (
     observability_matrix,
     observable_canonical,
 )
-from .signal import condition_stack, format_signal
+from .signal import format_signal
 from .simulate import default_grid, simulate_ivp
 
 #: `check` prints sampled gaps below this as 0: they are rounding noise, and
@@ -111,9 +116,11 @@ def cmd_check(parsed: ParsedProblem, args) -> int:
         ss, source, ss_field = observable_canonical(ode), "observable canonical", "ode"
     # everything is computed before the first line, so a failure prints none
     report = check_equivalence(ode, ss, ss_field)
-    n = ode.n
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_jump = condition_stack(problem.input.future, n) - condition_stack(problem.input.past, n)
+    # each stack is named by its segment when it overflows, as in map-ic
+    u_past = laplace._input_stack(problem, "previous")
+    u_future = laplace._input_stack(problem, "first")
+    with np.errstate(over="ignore"):
+        u_jump = u_future - u_past
     if not np.isfinite(u_jump).all():
         raise ValueError("input: the jump U(0+) - U(0-) overflows: it is not finite")
     creport = classify_continuity(ode, u_jump)
@@ -218,5 +225,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """`main` on sys.argv, then `gc.freeze()`: the `ltivp` command.
+
+    The collection at interpreter exit skips frozen objects, so it no longer
+    walks every numpy and scipy object; the rest of the shutdown (atexit
+    handlers, the flush of stdout, the exit status) is the normal one.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

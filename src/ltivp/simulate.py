@@ -46,10 +46,11 @@ class Trajectory:
     def csv_text(self) -> str:
         """CSV with header t,y,x1..xn; 17 significant digits round-trip doubles."""
         n = self.states.shape[1]
-        lines = ["t,y," + ",".join(f"x{i + 1}" for i in range(n))]
-        for t, y, x in zip(self.times, self.outputs, self.states):
-            lines.append(",".join(f"{v:.17g}" for v in (t, y, *x)))
-        return "\n".join(lines) + "\n"
+        header = "t,y," + ",".join(f"x{i + 1}" for i in range(n))
+        # all rows in one `%` call, whose %.17g prints the bytes f"{v:.17g}" does
+        row = ",".join(["%.17g"] * (n + 2))
+        values = np.column_stack((self.times, self.outputs, self.states)).ravel().tolist()
+        return "\n".join([header] + [row] * len(self.times)) % tuple(values) + "\n"
 
 
 def _input_generator(u: Signal) -> tuple[np.ndarray, np.ndarray]:

@@ -130,6 +130,15 @@ def apply_side(x: Signal, coeffs, ts) -> np.ndarray:
     return total
 
 
+def csv_reference(times, outputs, states) -> str:
+    """Trajectory CSV written one value at a time with f"{v:.17g}": the
+    reference `Trajectory.csv_text` must match byte for byte."""
+    lines = ["t,y," + ",".join(f"x{i + 1}" for i in range(states.shape[1]))]
+    for t, y, x in zip(times.tolist(), outputs.tolist(), states.tolist()):
+        lines.append(",".join(f"{v:.17g}" for v in (t, y, *x)))
+    return "\n".join(lines) + "\n"
+
+
 def cross_error(f: RationalFunction, g: RationalFunction) -> float:
     """Largest coefficient of num_f den_g - num_g den_f, relative to the
     largest coefficient of either product (floored at 1).

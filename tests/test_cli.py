@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -435,6 +436,13 @@ class TestErrors:
             ),
             ("solve", PAIR_OVERFLOW, "input.future: the stack U(0+) overflows: it is not finite"),
             ("simulate", PAIR_OVERFLOW, "input.future: the stack U(0+) overflows: it is not finite"),
+            ("check", STACK_OVERFLOW, "input.future: the stack U(0+) overflows: it is not finite"),
+            (
+                "check",
+                {**STACK_OVERFLOW, "input": {"past": "exp 1e200", "future": 0}},
+                "input.past: the stack U(0-) overflows: it is not finite",
+            ),
+            ("check", PAIR_OVERFLOW, "input.future: the stack U(0+) overflows: it is not finite"),
         ],
     )
     def test_overflow_is_one_error_line(self, capsys, tmp_path, command, data, message):
@@ -463,3 +471,52 @@ class TestColdStart:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False False"
+
+
+class TestEntryPoint:
+    """`python -m ltivp.cli` (and the `ltivp` command) go through `run`,
+    which freezes the collector after `main`; `main` itself freezes nothing."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def cli(self, *argv, script=None):
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        command = ["-c", script, *argv] if script else ["-m", "ltivp.cli", *argv]
+        return subprocess.run(
+            [sys.executable, *command], cwd=self.ROOT, env=env, capture_output=True, timeout=120
+        )
+
+    def test_main_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["simulate", RAMP, "--grid", "3"]) == 0
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("stem", ["input_switch.solve", "ramp_input.map-ic"])
+    def test_module_run_matches_golden(self, stem):
+        problem, command = stem.split(".")
+        done = self.cli(command, f"problems/{problem}.json")
+        golden = self.ROOT / "tests" / "golden"
+        assert done.stdout == (golden / f"{stem}.out").read_bytes()
+        err_file = golden / f"{stem}.err"
+        if err_file.exists():
+            assert (done.returncode, done.stderr) == (1, err_file.read_bytes())
+        else:
+            assert (done.returncode, done.stderr) == (0, b"")
+
+    def test_usage_error_exits_2(self):
+        done = self.cli("solve", RAMP, "--grid", "3")
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert b"unrecognized arguments: --grid 3" in done.stderr
+
+    def test_run_freezes_after_main(self):
+        script = (
+            "import gc, sys\n"
+            "from ltivp.cli import run\n"
+            "code = run()\n"
+            "print(code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        )
+        done = self.cli("solve", REST, script=script)
+        assert done.stdout.startswith(b"ode: ")
+        assert done.stderr == b"0 True\n"

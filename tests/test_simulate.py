@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
@@ -13,7 +15,7 @@ from ltivp.realization import StateSpace, observable_canonical
 from ltivp.signal import PiecewiseInput, Signal
 from ltivp.simulate import Trajectory, _input_generator, _uniform_step, default_grid, simulate, simulate_ivp
 
-from conftest import random_ode, random_signal, signal_sum
+from conftest import csv_reference, random_ode, random_signal, signal_sum
 
 EX1 = LinearODE([6.0, 5.0], [0.0, 1.0, 1.0])
 
@@ -350,7 +352,38 @@ class TestLongInputs:
         assert np.all(np.abs(traj.outputs - closed) <= 1e-8 + 1e-6 * np.abs(closed))
 
 
+#: values whose %.17g text is easy to get wrong: signed zeros, subnormals,
+#: the largest finite doubles, and integers from 1e16 up, where %.17g
+#: switches to exponent form
+CSV_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310,
+    1.7976931348623157e308, -1.7976931348623157e308,
+    1e16, -1e16, 1e16 + 2.0, 99999999999999999.0, 123456789012345678.0, 2.0**63,
+]
+CSV_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(CSV_EDGES),
+    st.integers(10**16, 10**20).map(float),
+    st.integers(-(10**20), -(10**16)).map(float),
+)
+
+
+@st.composite
+def trajectories(draw):
+    """A Trajectory of N = 1..50 samples of an order n = 1..6 plant."""
+    n = draw(st.integers(1, 6))
+    N = draw(st.integers(1, 50))
+    values = draw(st.lists(CSV_VALUES, min_size=N * (n + 2), max_size=N * (n + 2)))
+    block = np.array(values).reshape(N, n + 2)
+    return Trajectory(block[:, 0].copy(), block[:, 2:], block[:, 1].copy())
+
+
 class TestTrajectoryCSV:
+    @given(trajectories())
+    @example(Trajectory(np.array(CSV_EDGES), np.array([CSV_EDGES[::-1], CSV_EDGES]).T, -np.array(CSV_EDGES)))
+    def test_bytes_match_per_value_formatting(self, traj):
+        assert traj.csv_text() == csv_reference(traj.times, traj.outputs, traj.states)
+
     def test_header_and_roundtrip(self):
         traj = simulate_ivp(
             IVProblem(
