@@ -50,14 +50,14 @@ def _mat(M) -> str:
 
 def cmd_solve(parsed: ParsedProblem, args) -> int:
     problem = parsed.problem
-    # everything is computed before the first line, so a failure prints none
-    Ys = laplace.solution_transform(problem)
-    y = laplace.invert(problem, Ys)
+    # everything is computed before the first line, so a failure prints none;
+    # the mapping runs first, so its overflow is named as map-ic names it
     lines = [f"ode: {problem.ode}", f"input (t > 0): {problem.input.future}"]
     if problem.conditions.kind == "previous":
         y_first, u_first = laplace.first_conditions(problem)
         lines.append(f"Y(0+) = {_vec(y_first)}   (mapped from previous conditions)")
         lines.append(f"U(0+) = {_vec(u_first)}")
+    Ys, y = laplace.closed_form(problem)
     lines += [f"Y(s) = {Ys}", f"y(t) = {format_signal(y)}"]
     print("\n".join(lines))
     return 0
@@ -168,8 +168,20 @@ def cmd_simulate(parsed: ParsedProblem, args) -> int:
     points = args.grid if args.grid is not None else (parsed.grid_points or 200)
     if points < 1:
         raise ProblemFileError("--grid must be at least 1")
-    traj = simulate_ivp(parsed.problem, default_grid(horizon, points))
-    text = traj.csv_text()
+    # numpy refuses a count past intp with a ValueError, which default_grid
+    # raises for nothing else here, and one past memory with a MemoryError
+    too_many = ProblemFileError(
+        f"{'--grid' if args.grid is not None else 'grid'}: {points} points do not fit in memory"
+    )
+    try:
+        grid = default_grid(horizon, points)
+    except (MemoryError, ValueError):
+        raise too_many from None
+    try:
+        traj = simulate_ivp(parsed.problem, grid)
+        text = traj.csv_text()
+    except MemoryError:
+        raise too_many from None
     if args.csv is None:
         sys.stdout.write(text)
         return 0

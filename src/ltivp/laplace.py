@@ -16,9 +16,10 @@ Y(s) is inverted by partial fractions over its poles.  Only A(s) is
 root-found: the input's poles are known exactly from its signal (a rate
 whose highest power is t^k is a pole of multiplicity k + 1).
 
-Finite data can overflow on the way to y(t).  That is not warned about:
-each public entry (`solution_transform`, `invert`, `solve_ivp`) runs under
-one `np.errstate`, and when y(t) is built, `Signal` rejects the non-finite
+`closed_form` is the one entry: it forms A(s) once and returns both Y(s)
+and y(t); `solve_ivp` returns its y(t).  Finite data can overflow on the
+way to y(t).  That is not warned about: `closed_form` runs under one
+`np.errstate`, and when y(t) is built, `Signal` rejects the non-finite
 modes that result with one ValueError.
 """
 
@@ -119,42 +120,24 @@ def first_conditions(problem: IVProblem) -> tuple[np.ndarray, np.ndarray]:
     return map_previous_to_first(problem.ode, y, u, u_first), u_first
 
 
-def solution_transform(problem: IVProblem) -> RationalFunction:
-    """The assembled transform Y(s) without inverting it.
+def closed_form(problem: IVProblem) -> tuple[RationalFunction, Signal]:
+    """(Y(s), y(t) for t > 0): the transform and its inversion.
 
     Previous-form stacks are fed to assemble as-is; converting them to
     first conditions beforehand would give the same transform, and mixing
-    sides is the one thing that does not.
+    sides is the one thing that does not.  Every term of the expansion is
+    kept as computed, with no threshold, so y is exactly linear in the
+    conditions and the input.
     """
+    future = problem.input.future
+    known = [(rate, max(powers) + 1) for rate, powers in future.by_rate().items()]
     with np.errstate(over="ignore", invalid="ignore"):
-        return _transform(problem, transfer_function(problem.ode))
-
-
-def invert(problem: IVProblem, Ys: RationalFunction) -> Signal:
-    """y(t) for t > 0 from Ys = solution_transform(problem).
-
-    Every term of the expansion is kept as computed, with no threshold, so
-    the result is exactly linear in the conditions and the input.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _expand(problem, Ys, transfer_function(problem.ode).den)
+        G = transfer_function(problem.ode)
+        Ys = assemble(problem.ode, G, laplace_transform(future), *stated_conditions(problem))
+        y = from_partial_fractions(partial_fractions(Ys, poly.poly_roots(G.den, known)))
+    return Ys, y
 
 
 def solve_ivp(problem: IVProblem) -> Signal:
     """Closed-form y(t) for t > 0 as an exponential-polynomial signal."""
-    G = transfer_function(problem.ode)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _expand(problem, _transform(problem, G), G.den)
-
-
-def _transform(problem: IVProblem, G: RationalFunction) -> RationalFunction:
-    """Y(s) given G = transfer_function(problem.ode)."""
-    Us = laplace_transform(problem.input.future)
-    return assemble(problem.ode, G, Us, *stated_conditions(problem))
-
-
-def _expand(problem: IVProblem, Ys: RationalFunction, A: Polynomial) -> Signal:
-    """y(t) from Ys, given A(s), the denominator of the transfer function."""
-    known = [(rate, max(powers) + 1) for rate, powers in problem.input.future.by_rate().items()]
-    poles = poly.poly_roots(A, known)
-    return from_partial_fractions(partial_fractions(Ys, poles))
+    return closed_form(problem)[1]

@@ -373,7 +373,7 @@ class TestErrors:
     @pytest.mark.parametrize(
         "command, data, message",
         [
-            ("solve", JUMP_OVERFLOW, "mode t^0*exp((-5+0j)t) has non-finite amplitude (nan+0j)"),
+            ("solve", JUMP_OVERFLOW, "Y(0+) overflows: Y(0-) + M (U(0+) - U(0-)) is not finite"),
             ("map-ic", JUMP_OVERFLOW, "Y(0+) overflows: Y(0-) + M (U(0+) - U(0-)) is not finite"),
             ("check", JUMP_OVERFLOW, "delta Y overflows: M (U(0+) - U(0-)) is not finite"),
             ("simulate", JUMP_OVERFLOW, "Y(0+) overflows: Y(0-) + M (U(0+) - U(0-)) is not finite"),
@@ -443,6 +443,8 @@ class TestErrors:
                 "input.past: the stack U(0-) overflows: it is not finite",
             ),
             ("check", PAIR_OVERFLOW, "input.future: the stack U(0+) overflows: it is not finite"),
+            ("solve", STACK_OVERFLOW, "input.future: the stack U(0+) overflows: it is not finite"),
+            ("solve", REALIZATION_OVERFLOW, "Y(0+) overflows: Y(0-) + M (U(0+) - U(0-)) is not finite"),
         ],
     )
     def test_overflow_is_one_error_line(self, capsys, tmp_path, command, data, message):
@@ -451,6 +453,17 @@ class TestErrors:
         code, out, err = run(capsys, command, write_problem(tmp_path, data))
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+    # past the 64-bit address space, and past intp: neither allocates anywhere
+    @pytest.mark.parametrize("points", [10**17, 10**19])
+    def test_impossible_grid_is_one_error_line(self, capsys, tmp_path, points):
+        code, out, err = run(capsys, "simulate", SWITCH, "--grid", str(points))
+        assert code == 1 and out == ""
+        assert err == f"error: --grid: {points} points do not fit in memory\n"
+        data = {**json.loads(Path(SWITCH).read_text()), "grid": points}
+        code, out, err = run(capsys, "simulate", write_problem(tmp_path, data))
+        assert code == 1 and out == ""
+        assert err == f"error: grid: {points} points do not fit in memory\n"
 
 
 class TestColdStart:
