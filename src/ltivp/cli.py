@@ -48,9 +48,8 @@ def _mat(M) -> str:
     return "[" + ", ".join(_vec(row) for row in M) + "]"
 
 
-def cmd_solve(parsed: ParsedProblem, args) -> int:
+def cmd_solve(parsed: ParsedProblem, args) -> str:
     problem = parsed.problem
-    # everything is computed before the first line, so a failure prints none;
     # the mapping runs first, so its overflow is named as map-ic names it
     lines = [f"ode: {problem.ode}", f"input (t > 0): {problem.input.future}"]
     if problem.conditions.kind == "previous":
@@ -58,18 +57,18 @@ def cmd_solve(parsed: ParsedProblem, args) -> int:
         lines.append(f"Y(0+) = {_vec(y_first)}   (mapped from previous conditions)")
         lines.append(f"U(0+) = {_vec(u_first)}")
     Ys, y = laplace.closed_form(problem)
+    if not np.isfinite(Ys.num.coeffs + Ys.den.coeffs).all():
+        raise ValueError("Y(s) overflows: a coefficient of its numerator or denominator is not finite")
     lines += [f"Y(s) = {Ys}", f"y(t) = {format_signal(y)}"]
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_map_ic(parsed: ParsedProblem, args) -> int:
+def cmd_map_ic(parsed: ParsedProblem, args) -> str:
     problem = parsed.problem
     if problem.conditions.kind != "previous":
         raise ProblemFileError(
             "map-ic requires previous-form conditions (conditions.kind = 'previous')"
         )
-    # everything is computed before the first line, so a failure prints none
     y_prev, u_prev = laplace.stated_conditions(problem)
     y_first, u_first = laplace.first_conditions(problem)
     lines = [
@@ -80,13 +79,11 @@ def cmd_map_ic(parsed: ParsedProblem, args) -> int:
         f"M = {_mat(markov_matrix(problem.ode))}",
         f"Y(0+) = {_vec(y_first)}",
     ]
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_realize(parsed: ParsedProblem, args) -> int:
+def cmd_realize(parsed: ParsedProblem, args) -> str:
     ode = parsed.problem.ode
-    # everything is computed before the first line, so a failure prints none
     ss = observable_canonical(ode)
     h = markov_parameters(ode, ode.n + 1)
     if not np.isfinite(h).all():
@@ -102,11 +99,10 @@ def cmd_realize(parsed: ParsedProblem, args) -> int:
         f"markov parameters h_0..h_{ode.n} = {_vec(h)}",
         f"observability O = {_mat(O)}",
     ]
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_check(parsed: ParsedProblem, args) -> int:
+def cmd_check(parsed: ParsedProblem, args) -> str:
     problem = parsed.problem
     ode = problem.ode
     if parsed.ssr is not None:
@@ -114,7 +110,6 @@ def cmd_check(parsed: ParsedProblem, args) -> int:
     else:
         # the canonical realization is the ODE's own: its overflow is the ODE's
         ss, source, ss_field = observable_canonical(ode), "observable canonical", "ode"
-    # everything is computed before the first line, so a failure prints none
     report = check_equivalence(ode, ss, ss_field)
     # each stack is named by its segment when it overflows, as in map-ic
     u_past = laplace._input_stack(problem, "previous")
@@ -153,11 +148,10 @@ def cmd_check(parsed: ParsedProblem, args) -> int:
         lines.append(f"  y^({entry.order}): jump {fmt_number(entry.jump)} -> {verdict}")
     predicted = "continuous" if creport.predicted_continuous else "discontinuous"
     lines.append(f"predicted from the input jump alone: output stack {predicted}")
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(parsed: ParsedProblem, args) -> int:
+def cmd_simulate(parsed: ParsedProblem, args) -> str:
     horizon = args.horizon if args.horizon is not None else parsed.problem.horizon
     if horizon is None:
         raise ProblemFileError(
@@ -183,15 +177,13 @@ def cmd_simulate(parsed: ParsedProblem, args) -> int:
     except MemoryError:
         raise too_many from None
     if args.csv is None:
-        sys.stdout.write(text)
-        return 0
+        return text
     try:
         with open(args.csv, "w") as fh:
             fh.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write {args.csv}: {exc.strerror or exc}") from exc
-    print(f"wrote {len(traj.times)} rows to {args.csv}")
-    return 0
+    return f"wrote {len(traj.times)} rows to {args.csv}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,16 +217,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a ValueError, the write's included, is one
+    `error:` line on stderr and exit status 1.  Each subcommand returns its
+    whole report and only this writes it, so a failure before the write
+    leaves stdout empty."""
     args = build_parser().parse_args(argv)
     try:
         parsed = load_problem(args.file)
-        if args.echo:
-            sys.stdout.write(emit_problem(parsed))
-            return 0
-        return args.func(parsed, args)
+        sys.stdout.write(emit_problem(parsed) if args.echo else args.func(parsed, args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def run() -> int:

@@ -9,19 +9,20 @@ instant recovers the state.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotObservable
-from .ode import LinearODE, relative_degree, require_finite
+from .ode import LinearODE, _toeplitz, relative_degree, require_finite
 from .realization import (
     OBSERVABILITY_RTOL,
     StateSpace,
     markov_matrix,
     observability_matrix,
     observability_ratio,
-    ss_markov_matrix,
+    ss_markov_parameters,
 )
 
 #: Continuity verdict: a jump at t = 0 of at most this counts as continuous.
@@ -87,7 +88,9 @@ def recover_state(ss: StateSpace, y_stack, u_stack) -> np.ndarray:
     """Solve O x = Y - M U for the state at the instant of the stacks.
 
     `ss` is the realization of an ODE, so a row of O that overflows raises
-    a ValueError naming `ode`, before the observability verdict.
+    a ValueError naming `ode`, before the observability verdict, and so
+    do a Markov parameter h_0..h_n and the right side Y - M U that
+    overflow, after it.
     """
     n = ss.n
     y_stack = _stack(y_stack, n, "y_stack")
@@ -99,7 +102,17 @@ def recover_state(ss: StateSpace, y_stack, u_stack) -> np.ndarray:
             "observability matrix is singular to working precision "
             f"(sigma_min/sigma_max = {ratio:.3e}); no unique state matches the output stack"
         )
-    return np.linalg.solve(O, y_stack - ss_markov_matrix(ss) @ u_stack)
+    # h_n is not needed for M, but `realize` prints it: an overflow that
+    # first shows there is named as `realize` names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = ss_markov_parameters(ss, n + 1)
+        rhs = y_stack - _toeplitz(h[:n]) @ u_stack
+    finite = list(map(math.isfinite, h.tolist()))
+    if not all(finite):
+        raise ValueError(f"ode: Markov parameter h_{finite.index(False)} overflows: it is not finite")
+    if not all(map(math.isfinite, rhs.tolist())):
+        raise ValueError("ode: state recovery overflows: Y - M U is not finite")
+    return np.linalg.solve(O, rhs)
 
 
 class ContinuityEntry(NamedTuple):

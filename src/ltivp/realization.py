@@ -121,14 +121,10 @@ def ss_markov_parameters(ss: StateSpace, count: int) -> np.ndarray:
     h[0] = ss.D
     v = ss.B
     for i in range(1, count):
+        if i > 1:
+            v = ss.A @ v
         h[i] = ss.C @ v
-        v = ss.A @ v
     return h
-
-
-def ss_markov_matrix(ss: StateSpace) -> np.ndarray:
-    """Upper-triangular Toeplitz Markov matrix computed from the matrices."""
-    return _toeplitz(ss_markov_parameters(ss, ss.n))
 
 
 def observability_matrix(ss: StateSpace, field: str = "ssr") -> np.ndarray:

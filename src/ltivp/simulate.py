@@ -18,7 +18,12 @@ Any other grid is stepped sample by sample, one `expm` per step.  Either
 way the input is evaluated on the whole grid only when D != 0, for the D u
 feedthrough.
 
-scipy is imported on the first simulation, not with the package: nothing
+`simulate_ivp` runs in stages, each a function of this module looked up
+when it is called: `observable_canonical`, `initial_state` for x(0+),
+`simulate`, and inside it `matrix_exponential` for every exponential.  So a
+wrapper installed on one of these names sees every call of that stage.
+
+scipy is imported on the first exponential, not with the package: nothing
 else needs it.
 """
 
@@ -101,22 +106,27 @@ def _uniform_step(grid: np.ndarray) -> float | None:
     return None
 
 
+def matrix_exponential(M: np.ndarray) -> np.ndarray:
+    """expm(M), by scipy."""
+    from scipy.linalg import expm
+
+    return expm(M)
+
+
 def _plant_states(aug: np.ndarray, w0: np.ndarray, grid: np.ndarray, n: int) -> np.ndarray:
     """Rows w(t_i)[:n] of the solution of w' = aug w, w(0) = w0, as a
     column-major (N, n) view of the block whose columns are the w(t_i)."""
-    from scipy.linalg import expm
-
     W = np.empty((len(w0), len(grid)))
     h = _uniform_step(grid)
     if h is None:
-        W[:, 0] = expm(aug * grid[0]) @ w0
+        W[:, 0] = matrix_exponential(aug * grid[0]) @ w0
         for i in range(1, len(grid)):
-            W[:, i] = expm(aug * (grid[i] - grid[i - 1])) @ W[:, i - 1]
+            W[:, i] = matrix_exponential(aug * (grid[i] - grid[i - 1])) @ W[:, i - 1]
     else:
-        step = expm(aug * h)
+        step = matrix_exponential(aug * h)
         # when t_0 is the step, expm(aug t_0) is the same call on the same
         # array, so S carries the state to t_0 and one expm serves the grid
-        W[:, 0] = step @ w0 if grid[0] == h else expm(aug * grid[0]) @ w0
+        W[:, 0] = step @ w0 if grid[0] == h else matrix_exponential(aug * grid[0]) @ w0
         # with columns [0, m) known, columns [m, 2m) are S^m times them
         done = 1
         while done < len(grid):
@@ -175,6 +185,13 @@ def default_grid(t_f: float, points: int = 200) -> np.ndarray:
     return np.linspace(t_f / points, t_f, points)
 
 
+def initial_state(problem: IVProblem, ss: StateSpace) -> np.ndarray:
+    """x(0+) of the realization ss of the problem's ODE: the stacks at 0+,
+    mapped from 0- when the conditions are stated there, solved for x."""
+    y_first, u_first = first_conditions(problem)
+    return recover_state(ss, y_first, u_first)
+
+
 def simulate_ivp(problem: IVProblem, grid=None) -> Trajectory:
     """Solve the IVP on the state-space side: realize, recover x(0+), step.
 
@@ -188,6 +205,4 @@ def simulate_ivp(problem: IVProblem, grid=None) -> Trajectory:
             raise ValueError("either a grid or a problem horizon is required")
         grid = default_grid(problem.horizon)
     ss = observable_canonical(problem.ode)
-    y_first, u_first = first_conditions(problem)
-    x0 = recover_state(ss, y_first, u_first)
-    return simulate(ss, x0, problem.input.future, grid)
+    return simulate(ss, initial_state(problem, ss), problem.input.future, grid)

@@ -82,6 +82,31 @@ JUMP_OVERFLOW = {
     "horizon": 1,
 }
 
+#: finite data whose Markov parameter h_2 = C A B overflows: A B holds 1e309
+MARKOV_OVERFLOW = {
+    "ode": {"a": [-10, 2], "b": [1e307, 0, 0]},
+    "input": "step",
+    "conditions": {"kind": "first", "y": [0, 0]},
+    "horizon": 1,
+}
+
+#: finite data whose state recovery overflows: M U(0+) = 1e300 * 1e150
+STATE_OVERFLOW = {
+    "ode": {"a": [1], "b": [1e300, 0]},
+    "input": {"past": 0, "future": 1e150},
+    "conditions": {"kind": "first", "y": [0]},
+    "horizon": 1,
+}
+
+#: finite data whose Y(s) denominator A(s) (s - 1e150) overflows in its
+#: constant coefficient 1e300 * 1e150, while y(t) = 0
+TRANSFORM_OVERFLOW = {
+    "ode": {"a": [0, -1e300], "b": [0, 0, 1]},
+    "input": {"past": 0, "future": "exp 1e150"},
+    "conditions": {"kind": "first", "y": [0, 0]},
+    "horizon": 1,
+}
+
 
 def write_problem(tmp_path, data, name="p.json"):
     path = tmp_path / name
@@ -445,6 +470,13 @@ class TestErrors:
             ("check", PAIR_OVERFLOW, "input.future: the stack U(0+) overflows: it is not finite"),
             ("solve", STACK_OVERFLOW, "input.future: the stack U(0+) overflows: it is not finite"),
             ("solve", REALIZATION_OVERFLOW, "Y(0+) overflows: Y(0-) + M (U(0+) - U(0-)) is not finite"),
+            ("simulate", MARKOV_OVERFLOW, "ode: Markov parameter h_2 overflows: it is not finite"),
+            ("simulate", STATE_OVERFLOW, "ode: state recovery overflows: Y - M U is not finite"),
+            (
+                "solve",
+                TRANSFORM_OVERFLOW,
+                "Y(s) overflows: a coefficient of its numerator or denominator is not finite",
+            ),
         ],
     )
     def test_overflow_is_one_error_line(self, capsys, tmp_path, command, data, message):

@@ -119,9 +119,10 @@ class TestRecoverState:
 
 
 def _markov(ss):
-    from ltivp.realization import ss_markov_matrix
+    from ltivp.ode import _toeplitz
+    from ltivp.realization import ss_markov_parameters
 
-    return ss_markov_matrix(ss)
+    return _toeplitz(ss_markov_parameters(ss, ss.n))
 
 
 class TestContinuity:

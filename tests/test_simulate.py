@@ -8,6 +8,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
+import ltivp.simulate
 from ltivp.ic import ConditionPair
 from ltivp.laplace import IVProblem, solve_ivp
 from ltivp.ode import LinearODE
@@ -265,6 +266,21 @@ class TestSimulateIVP:
         ts = traj.times
         want = ts / 5.0 - (1.0 - np.exp(-5 * ts)) / 25.0 + (np.exp(-ts) - np.exp(-5 * ts)) / 4.0
         assert np.max(np.abs(traj.outputs - want)) <= 1e-6
+
+    def test_stages_are_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper installed on a stage's name in ltivp.simulate sees its calls
+        initial = _count_calls(monkeypatch, ltivp.simulate, "initial_state")
+        exponential = _count_calls(monkeypatch, ltivp.simulate, "matrix_exponential")
+        problem = IVProblem(
+            ode=EX1,
+            input=PiecewiseInput(Signal.ramp(), Signal.ramp()),
+            conditions=ConditionPair.first([1.0, 0.0]),
+            horizon=3.0,
+        )
+        grid = default_grid(problem.horizon)
+        assert grid[0] == _uniform_step(grid)  # one exponential serves the grid
+        simulate_ivp(problem)
+        assert (len(initial), len(exponential)) == (1, 1)
 
     def test_needs_grid_or_horizon(self):
         problem = IVProblem(
