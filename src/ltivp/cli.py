@@ -1,10 +1,11 @@
 """Command-line frontend.
 
-Subcommands: solve, map-ic, realize, check, simulate.  All take a problem
-file (JSON, see problemfile) and --echo.  `solve` prints the closed form
-only; `simulate` is the one subcommand that runs the state-space route, and
-the only one with --csv, --grid and --horizon.
-Output is deterministic: the same file always prints the same bytes.
+Subcommands: solve, map-ic, realize, check, simulate, echo.  Each takes a
+problem file (JSON, see problemfile) and returns its whole report, which
+`main` writes to stdout.  `solve` prints the closed form only; `simulate`
+is the one subcommand that runs the state-space route, and the only one
+with --grid and --horizon; `echo` re-emits the parsed file as canonical
+JSON.  Output is deterministic: the same file always prints the same bytes.
 
 `ltivp` and `python -m ltivp.cli` go through `run`, which freezes the
 garbage collector after the subcommand.  From Python, call `main(argv)`: it
@@ -128,7 +129,7 @@ def cmd_check(parsed: ParsedProblem, args) -> str:
         f"condition 2, same transfer function: "
         f"{'yes' if report.transfer_match else 'no'} (sampled gap {gap:.3e})",
         f"condition 3, observable: {'yes' if report.observable else 'no'} "
-        f"(sigma ratio {report.sigma_ratio:.3e})",
+        f"(exact rank {report.rank}; sigma ratio {report.sigma_ratio:.3e})",
     ]
     if report.equivalent:
         lines.append("equivalent: yes (3/3)")
@@ -172,18 +173,13 @@ def cmd_simulate(parsed: ParsedProblem, args) -> str:
     except (MemoryError, ValueError):
         raise too_many from None
     try:
-        traj = simulate_ivp(parsed.problem, grid)
-        text = traj.csv_text()
+        return simulate_ivp(parsed.problem, grid).csv_text()
     except MemoryError:
         raise too_many from None
-    if args.csv is None:
-        return text
-    try:
-        with open(args.csv, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValueError(f"cannot write {args.csv}: {exc.strerror or exc}") from exc
-    return f"wrote {len(traj.times)} rows to {args.csv}\n"
+
+
+def cmd_echo(parsed: ParsedProblem, args) -> str:
+    return emit_problem(parsed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,11 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_):
         p = sub.add_parser(name, help=help_)
         p.add_argument("file", help="problem file (JSON)")
-        p.add_argument(
-            "--echo",
-            action="store_true",
-            help="re-emit the parsed problem as canonical JSON and exit",
-        )
         p.set_defaults(func=func)
         return p
 
@@ -210,21 +201,20 @@ def build_parser() -> argparse.ArgumentParser:
     add("realize", cmd_realize, "observable-canonical state-space realization")
     add("check", cmd_check, "ODE/state-space equivalence and continuity report")
     simulate = add("simulate", cmd_simulate, "state-space trajectory as CSV")
-    simulate.add_argument("--csv", metavar="PATH", help="write trajectory CSV here")
     simulate.add_argument("--grid", type=int, metavar="N", help="number of grid points")
     simulate.add_argument("--horizon", type=float, metavar="T", help="simulation end time")
+    add("echo", cmd_echo, "the parsed problem as canonical JSON")
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a ValueError, the write's included, is one
-    `error:` line on stderr and exit status 1.  Each subcommand returns its
-    whole report and only this writes it, so a failure before the write
-    leaves stdout empty."""
+    """Run one subcommand; a ValueError is one `error:` line on stderr and
+    exit status 1.  Each subcommand returns its whole report and only this
+    writes it, so a failure leaves stdout empty."""
     args = build_parser().parse_args(argv)
     try:
         parsed = load_problem(args.file)
-        sys.stdout.write(emit_problem(parsed) if args.echo else args.func(parsed, args))
+        sys.stdout.write(args.func(parsed, args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

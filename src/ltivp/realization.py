@@ -10,14 +10,20 @@ initial-state recovery and the jump mapping in the ic module.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
 from .ode import LinearODE, _toeplitz, require_finite
 
-#: Observability verdict: observable when sigma_min / sigma_max > this.
+#: `recover_state` refuses a computed realization whose sigma_min / sigma_max
+#: is at or below this; `check_equivalence` decides by exact rank instead.
 OBSERVABILITY_RTOL = 1e-9
+#: The prime 2^61 - 1 of `observability_rank`'s modular first step; the
+#: rank is exact whatever the prime, which only sets how often the exact
+#: fallback runs.
+_RANK_PRIME = (1 << 61) - 1
 #: Transfer-function verdict: a match when the sampled gap is at most this.
 TRANSFER_TOL = 1e-9
 
@@ -150,6 +156,87 @@ def observability_ratio(O: np.ndarray) -> float:
     return float(sigmas[-1] / sigmas[0]) if sigmas[0] > 0.0 else 0.0
 
 
+def _rank_mod_p(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix over the integers mod _RANK_PRIME."""
+    p = _RANK_PRIME
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inv = pow(top[c], -1, p)
+        for row in rows[rank + 1 :]:
+            f = row[c] * inv % p
+            if f:
+                for j in range(c, len(row)):
+                    row[j] = (row[j] - f * top[j]) % p
+        rank += 1
+    return rank
+
+
+def _rank_bareiss(rows: list[list[int]]) -> int:
+    """Exact rank of an integer matrix by fraction-free elimination (Bareiss,
+    Math. Comp. 22, 1968): every entry stays an integer, a minor of the
+    input, and each division by the previous pivot is exact."""
+    rows = [row[:] for row in rows]
+    rank, prev = 0, 1
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for row in rows[rank + 1 :]:
+            for j in range(c + 1, len(row)):
+                row[j] = (top[c] * row[j] - row[c] * top[j]) // prev
+            row[c] = 0
+        prev = top[c]
+        rank += 1
+    return rank
+
+
+def _as_integers(M: np.ndarray) -> list[list[int]]:
+    """The doubles of M times one common power of two, as exact integers
+    (every double is a dyadic rational)."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in M.tolist()]
+    scale = max(den for row in ratios for _, den in row)
+    return [[num * (scale // den) for num, den in row] for row in ratios]
+
+
+def _observability_rows(C: list[int], A: list[list[int]], p: int | None = None) -> list[list[int]]:
+    """C, C A, ..., C A^(n-1) over the integers, or modulo p when given."""
+    if p is not None:
+        C = [x % p for x in C]
+        A = [[x % p for x in row] for row in A]
+    cols = list(zip(*A))
+    rows = [C]
+    for _ in range(len(C) - 1):
+        row = [sum(map(operator.mul, rows[-1], col)) for col in cols]
+        rows.append(row if p is None else [x % p for x in row])
+    return rows
+
+
+def observability_rank(ss: StateSpace) -> int:
+    """Rank of O = [C A^(n-1); ...; C] over the rationals, with A and C
+    taken exactly as given.
+
+    A and C are scaled by powers of two to integer matrices, which scales
+    each row C A^k by a nonzero factor and keeps the rank.  The rows are
+    first formed and eliminated modulo _RANK_PRIME: a rank of n there is a
+    nonzero determinant, so n exactly.  Only a lower modular rank, which a
+    determinant divisible by the prime can also give, is settled by exact
+    elimination, whose integers can grow to thousands of digits.
+    """
+    A = _as_integers(ss.A)
+    (C,) = _as_integers(ss.C[None, :])
+    if _rank_mod_p(_observability_rows(C, A, _RANK_PRIME)) == ss.n:
+        return ss.n
+    return _rank_bareiss(_observability_rows(C, A))
+
+
 class EquivalenceReport(NamedTuple):
     """Outcome of the three-part ODE/state-space comparison."""
 
@@ -158,6 +245,7 @@ class EquivalenceReport(NamedTuple):
     observable: bool
     transfer_error: float
     sigma_ratio: float
+    rank: int
 
     @property
     def equivalent(self) -> bool:
@@ -181,7 +269,11 @@ def check_equivalence(ode: LinearODE, ss: StateSpace, ss_field: str = "ssr") -> 
     common factors on either side do not matter.  `transfer_error` is the
     largest |G_ss - G_ode| / (1 + |G_ode|) over the points, and the
     functions match when it is at most TRANSFER_TOL.  The realization is
-    observable when its sigma ratio exceeds OBSERVABILITY_RTOL.
+    observable when its observability matrix, formed exactly from A and C
+    as given, has rank n (`observability_rank`): a realization rounded
+    from an unobservable one is observable.  `sigma_ratio`, sigma_min /
+    sigma_max of the floating-point matrix, is reported as the distance
+    figure and decides nothing.
 
     Raises ValueError when the gap or the observability matrix is not
     finite (an equation that overflows at the sample points), naming `ode`
@@ -205,10 +297,12 @@ def check_equivalence(ode: LinearODE, ss: StateSpace, ss_field: str = "ssr") -> 
         field = "ode" if not np.isfinite(g_ode).all() else ss_field
         raise ValueError(f"{field}: transfer function overflows at a sample point: the sampled gap is not finite")
     ratio = observability_ratio(observability_matrix(ss, ss_field))
+    rank = observability_rank(ss)
     return EquivalenceReport(
         same_order=same_order,
         transfer_match=bool(err <= TRANSFER_TOL),
-        observable=ratio > OBSERVABILITY_RTOL,
+        observable=rank == ss.n,
         transfer_error=float(err),
         sigma_ratio=ratio,
+        rank=rank,
     )

@@ -1,12 +1,17 @@
+import contextlib
 import gc
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltivp.cli import main
 from ltivp.problemfile import emit_problem, load_problem
@@ -251,15 +256,6 @@ class TestSimulate:
         assert len(lines) == 4
         assert lines[3].startswith("3,")
 
-    def test_csv_written(self, capsys, tmp_path):
-        target = tmp_path / "out.csv"
-        code, out, err = run(capsys, "simulate", RAMP, "--csv", str(target), "--grid", "10")
-        assert code == 0 and err == ""
-        assert out == f"wrote 10 rows to {target}\n"
-        _, stdout_csv, _ = run(capsys, "simulate", RAMP, "--grid", "10")
-        assert target.read_text() == stdout_csv
-        assert len(stdout_csv.splitlines()) == 11
-
     def test_matches_closed_form(self, capsys):
         _, out, _ = run(capsys, "simulate", RAMP, "--grid", "50")
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
@@ -290,24 +286,33 @@ class TestSimulate:
 
 class TestEcho:
     def test_echo_is_canonical_fixpoint(self, capsys, tmp_path):
-        _, out, _ = run(capsys, "solve", SWITCH, "--echo")
+        code, out, err = run(capsys, "echo", SWITCH)
+        assert code == 0 and err == ""
         assert out == emit_problem(load_problem(SWITCH))
         path = tmp_path / "echoed.json"
         path.write_text(out)
-        _, again, _ = run(capsys, "solve", str(path), "--echo")
-        assert again == out
+        assert run(capsys, "echo", str(path)) == (0, out, "")
 
     def test_echo_available_everywhere(self, capsys):
-        for command in ("solve", "map-ic", "realize", "check", "simulate"):
-            code, out, _ = run(capsys, command, REST, "--echo")
-            assert code == 0
-            assert out.startswith("{")
+        # every valid file echoes, the first-form ones that map-ic refuses too
+        for problem in (SWITCH, RAMP, REST):
+            code, out, err = run(capsys, "echo", problem)
+            assert code == 0 and err == ""
+            assert out == emit_problem(load_problem(problem))
 
-    def test_echo_runs_no_subcommand(self, capsys):
-        # map-ic refuses first-form conditions, but echo exits before it runs
-        code, out, err = run(capsys, "map-ic", RAMP, "--echo")
-        assert code == 0 and err == ""
-        assert out == emit_problem(load_problem(RAMP))
+    @pytest.mark.parametrize(
+        "argv",
+        [[command, REST, "--echo"] for command in ("solve", "map-ic", "realize", "check", "simulate")]
+        + [["simulate", REST, "--csv", "out.csv"]],
+        ids=" ".join,
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        # echo is a subcommand, and simulate's CSV goes to stdout only
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
 
     def test_file_read_once_through_module_lookup(self, capsys, monkeypatch):
         import ltivp.cli
@@ -319,9 +324,9 @@ class TestEcho:
             return load_problem(path)
 
         monkeypatch.setattr(ltivp.cli, "load_problem", counting)
-        for extra in ((), ("--echo",)):
+        for command in ("realize", "echo"):
             calls.clear()
-            code, _, _ = run(capsys, "realize", REST, *extra)
+            code, _, _ = run(capsys, command, REST)
             assert code == 0 and calls == [REST]
 
 
@@ -343,13 +348,6 @@ class TestErrors:
         code, _, err = run(capsys, "solve", "problems/nope.json")
         assert code == 1
         assert "nope.json" in err
-
-    @pytest.mark.parametrize("command", ["simulate"])
-    def test_unwritable_csv(self, capsys, tmp_path, command):
-        target = tmp_path / "missing" / "x.csv"
-        code, _, err = run(capsys, command, RAMP, "--csv", str(target))
-        assert code == 1
-        assert err == f"error: cannot write {target}: No such file or directory\n"
 
     def test_file_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "bad.bin"
@@ -496,6 +494,70 @@ class TestErrors:
         code, out, err = run(capsys, "simulate", write_problem(tmp_path, data))
         assert code == 1 and out == ""
         assert err == f"error: grid: {points} points do not fit in memory\n"
+
+
+#: the magnitudes of the finite-data property: ordinary, large, and at the
+#: edge of the float range, where a product or a sum of two overflows
+EXPONENTS = (0, 1, 3, 30, 150, 300, 307, 308)
+entries = st.builds(
+    lambda sign, mantissa, k, reciprocal: sign * (mantissa * 10.0**k) ** (-1 if reciprocal else 1),
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(1.0, 1.79),
+    st.sampled_from(EXPONENTS),
+    st.booleans(),
+)
+SPECS = {
+    "constant": lambda x: x,
+    "exp": lambda x: f"exp {x!r}",
+    "cos": lambda x: f"cos {x!r}",
+    "sin": lambda x: f"sin {x!r}",
+    "step": lambda x: "step",
+    "ramp": lambda x: "ramp",
+}
+NON_FINITE = re.compile(r"(?i)\binf|\bnan\b")
+
+
+@st.composite
+def finite_files(draw):
+    """A problem file of order n <= 3 whose every number is finite."""
+    n = draw(st.integers(1, 3))
+
+    def vector(size):
+        return draw(st.lists(entries, min_size=size, max_size=size))
+
+    def signal():
+        return SPECS[draw(st.sampled_from(sorted(SPECS)))](draw(entries))
+
+    data = {
+        "ode": {"a": vector(n), "b": vector(n + 1)},
+        "input": {"past": signal(), "future": signal()},
+        "conditions": {"kind": draw(st.sampled_from(("previous", "first"))), "y": vector(n)},
+        "horizon": abs(draw(entries)),
+        "grid": 3,
+    }
+    if draw(st.booleans()):
+        A = [vector(n) for _ in range(n)]
+        data["ssr"] = {"A": A, "B": vector(n), "C": vector(n), "D": draw(entries)}
+    return data
+
+
+class TestFiniteData:
+    @settings(max_examples=100)
+    @given(finite_files())
+    def test_finite_numbers_or_one_error_line(self, tmp_path_factory, data):
+        # a RuntimeWarning on the way is an error under this suite
+        path = tmp_path_factory.mktemp("finite") / "p.json"
+        path.write_text(json.dumps(data))
+        for command in ("solve", "map-ic", "realize", "check", "simulate", "echo"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path)])
+            out, err = out.getvalue(), err.getvalue()
+            if code == 0:
+                assert not NON_FINITE.search(out) and err == "", (command, out, err)
+            else:
+                assert code == 1 and out == "", (command, code, out)
+                assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
 
 
 class TestColdStart:

@@ -57,10 +57,6 @@ SIMULATE_MISS = (
     "recover_state raises NotObservable at n >= 8: the sigma ratio of O, at most 2.3e-10, "
     "is under OBSERVABILITY_RTOL = 1e-9"
 )
-CHECK_MISS = (
-    "condition 3 says 'observable: no' at n >= 8 on an exactly similar realization: the sigma "
-    "ratio is under OBSERVABILITY_RTOL = 1e-9 (CHANGES.md FOUND 14)"
-)
 
 
 def ledger():
@@ -71,8 +67,6 @@ def ledger():
                 marks = pytest.mark.xfail(strict=True, raises=AssertionError, reason=SOLVE_MISS)
             elif route == "simulate" and case.n >= 8:
                 marks = pytest.mark.xfail(strict=True, raises=NotObservable, reason=SIMULATE_MISS)
-            elif route == "check" and case.n >= 8:
-                marks = pytest.mark.xfail(strict=True, raises=AssertionError, reason=CHECK_MISS)
             yield pytest.param(name, route, marks=marks, id=f"{name}-{route}")
 
 

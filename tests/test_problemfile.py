@@ -312,7 +312,7 @@ REJECTED = {
         [],
         "input.future[0].amp: expected a number or [re, im] pair, got [1, 0, 0]",
     ),
-    "--grid 0": (base_data(), ["--grid", "0", "--csv", "out.csv"], "--grid must be at least 1"),
+    "--grid 0": (base_data(), ["--grid", "0"], "--grid must be at least 1"),
 }
 
 
@@ -330,7 +330,6 @@ def test_rejection_is_one_line(case, tmp_path, capsys, monkeypatch):
     command = "simulate" if args else "solve"
     assert main([command, "bad.json", *args]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "out.csv").exists()
 
 
 def test_numpy_floats_and_ints_parse_as_floats():

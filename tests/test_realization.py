@@ -1,15 +1,21 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ltivp.ode import LinearODE
 from ltivp.realization import (
+    _RANK_PRIME,
     TRANSFER_TOL,
     StateSpace,
+    _rank_bareiss,
+    _rank_mod_p,
     check_equivalence,
     markov_matrix,
     markov_parameters,
     observability_matrix,
+    observability_rank,
     observable_canonical,
     ss_markov_parameters,
 )
@@ -216,7 +222,7 @@ class TestEquivalence:
         ss = observable_canonical(EX1)
         broken = StateSpace(ss.A, ss.B, [0.0, 0.0], ss.D)
         report = check_equivalence(EX1, broken)
-        assert not report.observable
+        assert report.rank == 0 and not report.observable
         assert not report.equivalent
 
     def test_wrong_transfer_function(self):
@@ -259,7 +265,52 @@ class TestEquivalence:
         report = check_equivalence(PZ, StateSpace(A, [0.0, 0.0, 1.0], [2.0, 1.0, 0.0], 0.0))
         assert report.same_order and report.transfer_match
         assert report.sigma_ratio < 1e-12
+        assert report.rank == 2
         assert not report.observable and not report.equivalent
+
+    def test_verdict_is_about_the_data_as_given(self):
+        # C[0] one ulp above 2 no longer cancels the mode at -2: O has exact
+        # rank 3, though its sigma ratio is rounding-sized
+        A = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-6.0, -11.0, -6.0]]
+        C = [np.nextafter(2.0, 3.0), 1.0, 0.0]
+        report = check_equivalence(PZ, StateSpace(A, [0.0, 0.0, 1.0], C, 0.0))
+        assert report.rank == 3 and report.sigma_ratio < 1e-17
+        assert report.observable and report.equivalent
+
+    def test_modular_collision_takes_the_exact_path(self):
+        # det O = 2^31 * 2^30 - 1 = _RANK_PRIME: rank 1 modulo the prime, 2 exactly
+        assert _RANK_PRIME == 2**61 - 1
+        ss = StateSpace([[2.0**31, 1.0], [0.0, 0.0]], [1.0, 0.0], [1.0, 2.0**30], 0.0)
+        assert _rank_mod_p([[2**31, 1], [1, 2**30]]) == 1
+        assert observability_rank(ss) == 2
+
+    def test_extreme_entries_decided_quickly(self):
+        # entries from 1e-300 to 1e300 make integers of thousands of digits;
+        # the modular step settles full rank without forming them
+        rng = np.random.default_rng(16)
+
+        def extreme(*shape):
+            sign = rng.choice([-1.0, 1.0], shape)
+            return sign * rng.uniform(1.0, 1.79, shape) * 10.0 ** rng.integers(-300, 301, shape)
+
+        ss = StateSpace(extreme(16, 16), extreme(16), extreme(16), 0.0)
+        start = time.perf_counter()
+        assert observability_rank(ss) == 16
+        assert time.perf_counter() - start < 0.05
+
+    def test_exact_ranks_agree_on_integer_matrices(self):
+        # products of random small n x r and r x n integer factors, some with
+        # a zero column, whose floating-point rank is unambiguous
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            r = int(rng.integers(0, n + 1))
+            M = rng.integers(-3, 4, (n, r)) @ rng.integers(-3, 4, (r, n))
+            if rng.random() < 0.3:
+                M[:, rng.integers(n)] = 0
+            want = np.linalg.matrix_rank(M)
+            rows = M.tolist()
+            assert _rank_bareiss(rows) == want and _rank_mod_p(rows) == want
 
     @pytest.mark.parametrize("n", [12, 16])
     @pytest.mark.parametrize("kind", ["even", "conjugate"])
