@@ -219,21 +219,43 @@ def _observability_rows(C: list[int], A: list[list[int]], p: int | None = None) 
     return rows
 
 
+def _seen_states(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Mask of the states from which a path in A's nonzero pattern reaches a
+    state that C reads; state k drives state i when A[i, k] != 0.
+
+    reach[i, k] says that a path of at most 2^j steps leads from k to i;
+    squaring it j times covers the n - 1 steps of the longest simple path.
+    """
+    reach = (A != 0.0) | np.eye(len(C), dtype=bool)
+    for _ in range((len(C) - 1).bit_length()):
+        reach = reach @ reach
+    return (C != 0.0) @ reach
+
+
 def observability_rank(ss: StateSpace) -> int:
     """Rank of O = [C A^(n-1); ...; C] over the rationals, with A and C
     taken exactly as given.
 
-    A and C are scaled by powers of two to integer matrices, which scales
-    each row C A^k by a nonzero factor and keeps the rank.  The rows are
-    first formed and eliminated modulo _RANK_PRIME: a rank of n there is a
-    nonzero determinant, so n exactly.  Only a lower modular rank, which a
-    determinant divisible by the prime can also give, is settled by exact
-    elimination, whose integers can grow to thousands of digits.
+    A column k of O is exactly zero unless state k reaches a state that C
+    reads through A (`_seen_states`); the other columns are the
+    observability matrix of (A[S, S], C[S]) on those states S, so that
+    sub-realization has the same rank.  Its A and C are scaled by powers of
+    two to integer matrices, which scales each row C A^k by a nonzero
+    factor and keeps the rank.  The rows are first formed and eliminated
+    modulo _RANK_PRIME: a rank of |S| there is a nonzero determinant, so
+    |S| exactly.  Only a lower modular rank, which a determinant divisible
+    by the prime can also give, is settled by exact elimination, whose
+    integers can grow to thousands of digits.
     """
-    A = _as_integers(ss.A)
-    (C,) = _as_integers(ss.C[None, :])
-    if _rank_mod_p(_observability_rows(C, A, _RANK_PRIME)) == ss.n:
-        return ss.n
+    seen = _seen_states(ss.A, ss.C)
+    n = int(np.count_nonzero(seen))
+    if n == 0:
+        return 0
+    A, C = (ss.A, ss.C) if n == ss.n else (ss.A[np.ix_(seen, seen)], ss.C[seen])
+    A = _as_integers(A)
+    (C,) = _as_integers(C[None, :])
+    if _rank_mod_p(_observability_rows(C, A, _RANK_PRIME)) == n:
+        return n
     return _rank_bareiss(_observability_rows(C, A))
 
 

@@ -93,6 +93,24 @@ def ic_vectors(ode: LinearODE) -> tuple[np.ndarray, np.ndarray]:
     return _toeplitz(a_full[: ode.n]), _toeplitz(ode.b[: ode.n])
 
 
+def decoupled_realization():
+    """(A, B, C) of order 16 with entries +-(1 to 1.79) 10^k, k from -300 to
+    0, and state 5 decoupled: row and column 5 of A are zero but
+    A[5, 5] = 2, and C[5] = 0.  C cannot see that state, so the exact
+    observability rank is at most 15."""
+    rng = np.random.default_rng(16)
+
+    def spread(*shape):
+        sign = rng.choice([-1.0, 1.0], shape)
+        return sign * rng.uniform(1.0, 1.79, shape) * 10.0 ** rng.integers(-300, 1, shape)
+
+    A, B, C = spread(16, 16), spread(16), spread(16)
+    A[5, :] = A[:, 5] = 0.0
+    A[5, 5] = 2.0
+    C[5] = 0.0
+    return A, B, C
+
+
 def signal_sum(*signals: Signal) -> Signal:
     """The sum of the signals: `Signal` merges the modes of equal (power, rate)."""
     return Signal([m for x in signals for m in x.modes])

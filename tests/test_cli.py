@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 from ltivp.cli import main
 from ltivp.problemfile import emit_problem, load_problem
 
+from conftest import decoupled_realization
+
 SWITCH = "problems/input_switch.json"
 RAMP = "problems/ramp_input.json"
 REST = "problems/step_from_rest.json"
+SHIPPED = (SWITCH, RAMP, REST)
 
 
 def run(capsys, *argv):
@@ -120,25 +123,6 @@ def write_problem(tmp_path, data, name="p.json"):
 
 
 class TestSolve:
-    def test_switch_golden(self, capsys):
-        code, out, err = run(capsys, "solve", SWITCH)
-        assert code == 0 and err == ""
-        assert out.splitlines() == [
-            "ode: y'' + 6*y' + 5*y = u'' + 3*u' + 2*u",
-            "input (t > 0): t",
-            "Y(0+) = [5, -1]   (mapped from previous conditions)",
-            "U(0+) = [1, 0]",
-            "Y(s) = (-s^3 - s^2 + 3 s + 2) / (s^4 + 6 s^3 + 5 s^2)",
-            "y(t) = -0.87*exp(-5*t) - 0.25*exp(-1*t) + 0.12 + 0.4*t",
-        ]
-
-    def test_first_form_skips_mapping_lines(self, capsys):
-        code, out, err = run(capsys, "solve", RAMP)
-        assert code == 0
-        assert "mapped from previous" not in out
-        assert out.splitlines()[0] == "ode: y'' + 6*y' + 5*y = u' + u"
-        assert any(line.startswith("y(t) = ") for line in out.splitlines())
-
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "solve", SWITCH)
         _, second, _ = run(capsys, "solve", SWITCH)
@@ -155,61 +139,7 @@ class TestSolve:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-class TestMapIC:
-    def test_switch_golden(self, capsys):
-        code, out, err = run(capsys, "map-ic", SWITCH)
-        assert code == 0 and err == ""
-        assert out.splitlines() == [
-            "Y(0-) = [1, 0]",
-            "U(0-) = [0, 1]",
-            "U(0+) = [1, 0]",
-            "delta U = [1, -1]",
-            "M = [[1, -3], [0, 1]]",
-            "Y(0+) = [5, -1]",
-        ]
-
-    def test_requires_previous_form(self, capsys):
-        code, out, err = run(capsys, "map-ic", RAMP)
-        assert code == 1
-        assert "previous-form" in err
-
-
-class TestRealize:
-    def test_ramp_golden(self, capsys):
-        code, out, err = run(capsys, "realize", RAMP)
-        assert code == 0 and err == ""
-        assert out.splitlines() == [
-            "ode: y'' + 6*y' + 5*y = u' + u",
-            "A = [[0, -5], [1, -6]]",
-            "B = [1, 1]",
-            "C = [0, 1]",
-            "D = 0",
-            "markov parameters h_0..h_2 = [0, 1, -5]",
-            "observability O = [[1, -6], [0, 1]]",
-        ]
-
-
 class TestCheck:
-    def test_switch_report(self, capsys):
-        code, out, err = run(capsys, "check", SWITCH)
-        assert code == 0 and err == ""
-        lines = out.splitlines()
-        assert lines[1] == "ssr: observable canonical, n = 2"
-        assert lines[2] == "condition 1, same order: yes"
-        assert lines[3].startswith("condition 2, same transfer function: yes")
-        assert lines[4].startswith("condition 3, observable: yes")
-        assert lines[5] == "equivalent: yes (3/3)"
-        assert lines[6] == "continuity at t = 0 (r = 0, m = 2):"
-        assert lines[7] == "  y^(0): jump -1 -> discontinuous"
-        assert lines[8] == "  y^(1): jump 4 -> discontinuous"
-        assert lines[9] == "predicted from the input jump alone: output stack discontinuous"
-
-    def test_partial_continuity(self, capsys):
-        _, out, _ = run(capsys, "check", REST)
-        lines = out.splitlines()
-        assert "  y^(0): jump 0 -> continuous" in lines
-        assert "  y^(1): jump 1 -> discontinuous" in lines
-
     def test_ssr_from_file_can_fail(self, capsys, tmp_path):
         path = write_problem(
             tmp_path,
@@ -235,11 +165,26 @@ class TestCheck:
             assert code == 1 and out == ""
             assert err == f"error: {field}: transfer function overflows at a sample point: the sampled gap is not finite\n"
 
+    def test_unseen_state_is_decided_exactly(self, capsys, tmp_path):
+        # an order-16 ssr with one state that C cannot see through A, its
+        # entries down to 1e-300: exact rank 15 on the seen states
+        A, B, C = decoupled_realization()
+        ssr = {"A": A.tolist(), "B": B.tolist(), "C": C.tolist(), "D": 0}
+        data = {
+            "ode": {"a": [1] * 16, "b": [0] * 16 + [1]},
+            "input": "step",
+            "conditions": {"kind": "first", "y": [0] * 16},
+            "ssr": ssr,
+        }
+        code, out, err = run(capsys, "check", write_problem(tmp_path, data))
+        assert code == 0 and err == ""
+        assert out.splitlines()[4].startswith("condition 3, observable: no (exact rank 15; ")
+
     @pytest.mark.parametrize("command", ["solve", "map-ic", "realize", "check", "simulate"])
     def test_tolerance_env_is_ignored(self, capsys, monkeypatch, command):
         # every threshold is a module constant: a set LTIVP_TOL changes no
         # byte of any subcommand's output
-        for problem in (SWITCH, RAMP, REST):
+        for problem in SHIPPED:
             monkeypatch.delenv("LTIVP_TOL", raising=False)
             plain = run(capsys, command, problem)
             for raw in ("2.0", "banana"):
@@ -248,13 +193,19 @@ class TestCheck:
 
 
 class TestSimulate:
-    def test_stdout_csv(self, capsys):
-        code, out, err = run(capsys, "simulate", RAMP, "--grid", "3", "--horizon", "3")
+    @pytest.mark.parametrize("problem", SHIPPED)
+    def test_stdout_csv(self, capsys, problem):
+        code, out, err = run(capsys, "simulate", problem, "--grid", "3", "--horizon", "3")
         assert code == 0 and err == ""
         lines = out.strip().split("\n")
         assert lines[0] == "t,y,x1,x2"
         assert len(lines) == 4
         assert lines[3].startswith("3,")
+
+    def test_long_grid_writes_every_row(self, capsys):
+        code, out, err = run(capsys, "simulate", SWITCH, "--grid", "20000")
+        assert code == 0 and err == ""
+        assert out.count("\n") == 20001
 
     def test_matches_closed_form(self, capsys):
         _, out, _ = run(capsys, "simulate", RAMP, "--grid", "50")
@@ -285,20 +236,18 @@ class TestSimulate:
 
 
 class TestEcho:
-    def test_echo_is_canonical_fixpoint(self, capsys, tmp_path):
-        code, out, err = run(capsys, "echo", SWITCH)
+    @pytest.mark.parametrize("problem", SHIPPED)
+    def test_echo_is_canonical_fixpoint(self, capsys, tmp_path, problem):
+        # every valid file echoes, the first-form ones that map-ic refuses
+        # too, with no field dropped, and echoing the output again prints
+        # the same bytes
+        code, out, err = run(capsys, "echo", problem)
         assert code == 0 and err == ""
-        assert out == emit_problem(load_problem(SWITCH))
+        assert out == emit_problem(load_problem(problem))
+        assert json.loads(out).keys() == json.loads(Path(problem).read_text()).keys()
         path = tmp_path / "echoed.json"
         path.write_text(out)
         assert run(capsys, "echo", str(path)) == (0, out, "")
-
-    def test_echo_available_everywhere(self, capsys):
-        # every valid file echoes, the first-form ones that map-ic refuses too
-        for problem in (SWITCH, RAMP, REST):
-            code, out, err = run(capsys, "echo", problem)
-            assert code == 0 and err == ""
-            assert out == emit_problem(load_problem(problem))
 
     @pytest.mark.parametrize(
         "argv",
@@ -475,6 +424,7 @@ class TestErrors:
                 TRANSFORM_OVERFLOW,
                 "Y(s) overflows: a coefficient of its numerator or denominator is not finite",
             ),
+            ("simulate", OVERFLOW, "trajectory overflows: first non-finite sample at t = 0.005"),
         ],
     )
     def test_overflow_is_one_error_line(self, capsys, tmp_path, command, data, message):

@@ -9,6 +9,7 @@ from ltivp.realization import (
     _RANK_PRIME,
     TRANSFER_TOL,
     StateSpace,
+    _observability_rows,
     _rank_bareiss,
     _rank_mod_p,
     check_equivalence,
@@ -20,7 +21,7 @@ from ltivp.realization import (
     ss_markov_parameters,
 )
 
-from conftest import ic_vectors, random_ode
+from conftest import decoupled_realization, ic_vectors, random_ode
 
 EX1 = LinearODE([6.0, 5.0], [0.0, 1.0, 1.0])       # y'' + 6y' + 5y = u' + u
 EX2 = LinearODE([6.0, 5.0], [1.0, 3.0, 2.0])       # same poles, biproper
@@ -311,6 +312,41 @@ class TestEquivalence:
             want = np.linalg.matrix_rank(M)
             rows = M.tolist()
             assert _rank_bareiss(rows) == want and _rank_mod_p(rows) == want
+
+    def test_unseen_state_skips_the_exact_path(self, monkeypatch):
+        # one state that C cannot see through A: the rank is taken on the
+        # other 15, where the modular step settles it, so no integers of
+        # thousands of digits are eliminated
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return _rank_bareiss(rows)
+
+        monkeypatch.setattr("ltivp.realization._rank_bareiss", counting)
+        A, B, C = decoupled_realization()
+        assert observability_rank(StateSpace(A, B, C, 0.0)) == 15
+        assert calls == []
+
+    def test_seen_states_keep_the_exact_rank(self):
+        # sparse integer realizations, some states unseen by C: the rank on
+        # the seen states is the exact rank of the full observability matrix
+        rng = np.random.default_rng(57)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            A = rng.integers(-3, 4, (n, n)) * (rng.random((n, n)) < 0.5)
+            C = rng.integers(-3, 4, n) * (rng.random(n) < 0.6)
+            ss = StateSpace(A.astype(float), np.ones(n), C.astype(float), 0.0)
+            want = _rank_bareiss(_observability_rows(C.tolist(), A.tolist()))
+            assert observability_rank(ss) == want, (A, C)
+
+    def test_a_state_seen_through_another_counts(self):
+        # state 0 drives state 1 (A[1, 0] != 0), which C reads: O = [[1, 0],
+        # [0, 1]] has rank 2; driven by state 1 instead, state 0 is unseen
+        drives_seen = StateSpace([[0.0, 0.0], [1.0, 0.0]], [1.0, 0.0], [0.0, 1.0], 0.0)
+        driven_by_seen = StateSpace([[0.0, 1.0], [0.0, 0.0]], [1.0, 0.0], [0.0, 1.0], 0.0)
+        assert observability_rank(drives_seen) == 2
+        assert observability_rank(driven_by_seen) == 1
 
     @pytest.mark.parametrize("n", [12, 16])
     @pytest.mark.parametrize("kind", ["even", "conjugate"])
