@@ -31,6 +31,7 @@ from .realization import (
     markov_parameters,
     observability_matrix,
     observable_canonical,
+    require_finite_markov,
 )
 from .signal import format_signal
 from .simulate import default_grid, simulate_ivp
@@ -87,9 +88,7 @@ def cmd_realize(parsed: ParsedProblem, args) -> str:
     ode = parsed.problem.ode
     ss = observable_canonical(ode)
     h = markov_parameters(ode, ode.n + 1)
-    if not np.isfinite(h).all():
-        k = int(np.argmin(np.isfinite(h)))
-        raise ValueError(f"ode: Markov parameter h_{k} overflows: it is not finite")
+    require_finite_markov(h)
     O = observability_matrix(ss, "ode")
     lines = [
         f"ode: {ode}",

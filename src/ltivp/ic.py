@@ -22,6 +22,7 @@ from .realization import (
     markov_matrix,
     observability_matrix,
     observability_ratio,
+    require_finite_markov,
     ss_markov_parameters,
 )
 
@@ -107,9 +108,7 @@ def recover_state(ss: StateSpace, y_stack, u_stack) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         h = ss_markov_parameters(ss, n + 1)
         rhs = y_stack - _toeplitz(h[:n]) @ u_stack
-    finite = list(map(math.isfinite, h.tolist()))
-    if not all(finite):
-        raise ValueError(f"ode: Markov parameter h_{finite.index(False)} overflows: it is not finite")
+    require_finite_markov(h)
     if not all(map(math.isfinite, rhs.tolist())):
         raise ValueError("ode: state recovery overflows: Y - M U is not finite")
     return np.linalg.solve(O, rhs)

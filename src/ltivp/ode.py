@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .poly import Polynomial, RationalFunction, fmt_number, signed_sum
+from .poly import Polynomial, RationalFunction, signed_sum
 
 
 def require_finite(field: str, values: np.ndarray) -> None:
@@ -69,7 +69,7 @@ class LinearODE:
     def __str__(self) -> str:
         lhs = _side_string("y", np.concatenate(([1.0], self.a)))
         rhs = _side_string("u", self.b)
-        return f"{lhs} = {rhs or '0'}"
+        return f"{lhs} = {rhs}"
 
 
 def _deriv_name(var: str, order: int) -> str:
@@ -82,13 +82,7 @@ def _deriv_name(var: str, order: int) -> str:
 
 def _side_string(var: str, coeffs: np.ndarray) -> str:
     n = len(coeffs) - 1
-    terms = []
-    for j, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        name = _deriv_name(var, n - j)
-        terms.append((c, name if abs(c) == 1.0 else f"{fmt_number(abs(c))}*{name}"))
-    return signed_sum(terms)
+    return signed_sum(((c, _deriv_name(var, n - j)) for j, c in enumerate(coeffs)), "*")
 
 
 def relative_degree(ode: LinearODE) -> tuple[int, int]:

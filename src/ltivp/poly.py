@@ -75,21 +75,8 @@ class Polynomial:
         return Polynomial(np.convolve(self.coeffs, other.coeffs))
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0.0:
-                continue
-            mag = fmt_number(abs(c))
-            if k == 0:
-                body = mag
-            else:
-                var = "s" if k == 1 else f"s^{k}"
-                body = var if abs(c) == 1.0 else f"{mag} {var}"
-            terms.append((c, body))
-        return signed_sum(terms)
+        terms = [(c, "" if k == 0 else "s" if k == 1 else f"s^{k}") for k, c in enumerate(self.coeffs)]
+        return signed_sum(terms[::-1], " ")
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
@@ -101,15 +88,24 @@ def fmt_number(x: float) -> str:
     return f"{x + 0.0:.12g}"
 
 
-def signed_sum(terms) -> str:
-    """Join (coefficient, body) terms as "a + b - c": only a negative coefficient takes a minus sign."""
+def signed_sum(terms, sep: str) -> str:
+    """Join (coefficient, body) terms as "a + b - c", and no terms as "0".
+
+    A zero coefficient leaves its term out.  A term prints as its body when
+    |c| = 1 and the body is not empty, else as fmt_number(|c|) joined to the
+    body by `sep`; only a negative coefficient takes a minus sign.
+    """
     parts = []
     for c, body in terms:
+        if c == 0.0:
+            continue
+        mag = abs(c)
+        text = body if body and mag == 1.0 else sep.join(filter(None, (fmt_number(mag), body)))
         if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
+            parts.append(f"-{text}" if c < 0 else text)
         else:
-            parts.append(f"- {body}" if c < 0 else f"+ {body}")
-    return " ".join(parts)
+            parts.append(f"- {text}" if c < 0 else f"+ {text}")
+    return " ".join(parts) or "0"
 
 
 class RationalFunction:

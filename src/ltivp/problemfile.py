@@ -265,6 +265,9 @@ def _parse_ssr(data) -> StateSpace:
     if not isinstance(A_rows, list) or not A_rows:
         raise ProblemFileError("ssr.A: expected a nonempty array of rows")
     A = [_number_list(row, ("ssr.A", i)) for i, row in enumerate(A_rows)]
+    for i, row in enumerate(A):
+        if len(row) != len(A):
+            raise ProblemFileError(f"ssr.A[{i}]: expected {len(A)} numbers, got {len(row)}")
     B = _number_list(_require(data, "B", "ssr.B"), "ssr.B")
     C = _number_list(_require(data, "C", "ssr.C"), "ssr.C")
     D = _number(_require(data, "D", "ssr.D"), "ssr.D")

@@ -87,6 +87,14 @@ def markov_parameters(ode: LinearODE, count: int) -> np.ndarray:
     return np.array(h)
 
 
+def require_finite_markov(h: np.ndarray) -> None:
+    """Raise a ValueError naming `ode` and the first Markov parameter h_k
+    that is not finite, if there is one."""
+    finite = list(map(math.isfinite, h.tolist()))
+    if not all(finite):
+        raise ValueError(f"ode: Markov parameter h_{finite.index(False)} overflows: it is not finite")
+
+
 def markov_matrix(ode: LinearODE) -> np.ndarray:
     """Upper-triangular Toeplitz matrix with first row h_0 ... h_{n-1}."""
     return _toeplitz(markov_parameters(ode, ode.n))

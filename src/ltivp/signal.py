@@ -361,24 +361,14 @@ def from_partial_fractions(terms: tuple[PartialFractionTerm, ...]) -> Signal:
 
 def format_signal(x: Signal) -> str:
     """Canonical human-readable form, complex pairs folded into cos/sin."""
-    if x.is_zero:
-        return "0"
-    atoms: list[tuple[float, str]] = []
+    terms: list[tuple[float, str]] = []
     for amp, power, rate in x.modes:
         if rate.imag > 0.0:
-            c, s = 2.0 * amp.real, -2.0 * amp.imag
-            if c != 0.0:
-                atoms.append((c, _atom(power, rate.real, ("cos", rate.imag))))
-            if s != 0.0:
-                atoms.append((s, _atom(power, rate.real, ("sin", rate.imag))))
+            terms.append((2.0 * amp.real, _atom(power, rate.real, ("cos", rate.imag))))
+            terms.append((-2.0 * amp.imag, _atom(power, rate.real, ("sin", rate.imag))))
         elif rate.imag == 0.0:
-            atoms.append((amp.real, _atom(power, rate.real, None)))
-    terms = []
-    for coeff, body in atoms:
-        mag = fmt_number(abs(coeff))
-        text = body if body and abs(coeff) == 1.0 else "*".join(p for p in (mag, body) if p)
-        terms.append((coeff, text))
-    return signed_sum(terms)
+            terms.append((amp.real, _atom(power, rate.real, None)))
+    return signed_sum(terms, "*")
 
 
 def _atom(power: int, decay: float, trig) -> str:

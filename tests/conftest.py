@@ -12,8 +12,9 @@ import numpy as np
 from hypothesis import settings
 
 from ltivp import LinearODE, Signal
-from ltivp.ode import _toeplitz
-from ltivp.poly import Polynomial, RationalFunction, root_product
+from ltivp.ode import _deriv_name, _toeplitz
+from ltivp.poly import Polynomial, RationalFunction, fmt_number, root_product
+from ltivp.signal import _atom
 
 settings.register_profile("ltivp", derandomize=True, deadline=None)
 settings.load_profile("ltivp")
@@ -155,6 +156,76 @@ def csv_reference(times, outputs, states) -> str:
     for t, y, x in zip(times.tolist(), outputs.tolist(), states.tolist()):
         lines.append(",".join(f"{v:.17g}" for v in (t, y, *x)))
     return "\n".join(lines) + "\n"
+
+
+def _signed_join(terms) -> str:
+    """(coefficient, text) terms joined as "a + b - c"."""
+    parts = []
+    for c, text in terms:
+        if not parts:
+            parts.append(f"-{text}" if c < 0 else text)
+        else:
+            parts.append(f"- {text}" if c < 0 else f"+ {text}")
+    return " ".join(parts)
+
+
+def polynomial_reference(p: Polynomial) -> str:
+    """`str(p)` printed term by term, the loop `Polynomial.__str__` must match."""
+    if p.is_zero:
+        return "0"
+    terms = []
+    for k in range(p.degree, -1, -1):
+        c = p.coeffs[k]
+        if c == 0.0:
+            continue
+        mag = fmt_number(abs(c))
+        if k == 0:
+            body = mag
+        else:
+            var = "s" if k == 1 else f"s^{k}"
+            body = var if abs(c) == 1.0 else f"{mag} {var}"
+        terms.append((c, body))
+    return _signed_join(terms)
+
+
+def ode_reference(ode: LinearODE) -> str:
+    """`str(ode)` printed term by term, the loop `LinearODE.__str__` must match."""
+
+    def side(var, coeffs):
+        n = len(coeffs) - 1
+        terms = []
+        for j, c in enumerate(coeffs):
+            if c == 0.0:
+                continue
+            name = _deriv_name(var, n - j)
+            terms.append((c, name if abs(c) == 1.0 else f"{fmt_number(abs(c))}*{name}"))
+        return _signed_join(terms)
+
+    rhs = side("u", ode.b)
+    return f"{side('y', np.concatenate(([1.0], ode.a)))} = {rhs or '0'}"
+
+
+def format_signal_reference(x: Signal) -> str:
+    """`format_signal(x)` printed term by term, the loop it must match:
+    each conjugate pair folded into cos and sin terms."""
+    if x.is_zero:
+        return "0"
+    atoms = []
+    for amp, power, rate in x.modes:
+        if rate.imag > 0.0:
+            c, s = 2.0 * amp.real, -2.0 * amp.imag
+            if c != 0.0:
+                atoms.append((c, _atom(power, rate.real, ("cos", rate.imag))))
+            if s != 0.0:
+                atoms.append((s, _atom(power, rate.real, ("sin", rate.imag))))
+        elif rate.imag == 0.0:
+            atoms.append((amp.real, _atom(power, rate.real, None)))
+    terms = []
+    for coeff, body in atoms:
+        mag = fmt_number(abs(coeff))
+        text = body if body and abs(coeff) == 1.0 else "*".join(p for p in (mag, body) if p)
+        terms.append((coeff, text))
+    return _signed_join(terms)
 
 
 def cross_error(f: RationalFunction, g: RationalFunction) -> float:

@@ -21,9 +21,17 @@ from ltivp.poly import (
     partial_fractions,
     poly_roots,
 )
-from ltivp.signal import Signal, from_partial_fractions, laplace_transform
+from ltivp.ode import LinearODE
+from ltivp.signal import Signal, format_signal, from_partial_fractions, laplace_transform
 
-from conftest import cross_error, poly_from_roots, random_poles
+from conftest import (
+    cross_error,
+    format_signal_reference,
+    ode_reference,
+    poly_from_roots,
+    polynomial_reference,
+    random_poles,
+)
 
 
 def _first_sites(sites, max_degree=16):
@@ -296,6 +304,48 @@ class TestPolynomial:
         assert str(Polynomial([5.0, 6.0, 1.0])) == "s^2 + 6 s + 5"
         assert str(Polynomial([0.0, -1.0])) == "-s"
         assert str(Polynomial.zero()) == "0"
+
+
+# the printers' edge cases: unit coefficients, signed zeros, magnitudes at
+# the ends of the range, and any other finite value
+_printed = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(-1e300, 1e300),
+)
+_ode_coeffs = st.lists(_printed, min_size=1, max_size=6).flatmap(
+    lambda a: st.tuples(st.just(a), st.lists(_printed, min_size=len(a) + 1, max_size=len(a) + 1).filter(any))
+)
+# (pair?, re amp, im amp, power, decay, frequency): a real mode, or a
+# conjugate pair when asked for and the frequency is nonzero
+_mode_draws = st.lists(
+    st.tuples(st.booleans(), _printed, _printed, st.integers(0, 3), _printed, _printed), max_size=6
+)
+
+
+class TestSignedSum:
+    """Every printer of a signed sum matches its term-by-term reference."""
+
+    @given(st.lists(_printed, min_size=1, max_size=8))
+    def test_polynomial(self, coeffs):
+        p = Polynomial(coeffs)
+        assert str(p) == polynomial_reference(p)
+
+    @given(_ode_coeffs)
+    def test_ode(self, ab):
+        ode = LinearODE(*ab)
+        assert str(ode) == ode_reference(ode)
+
+    @given(_mode_draws)
+    def test_signal(self, draws):
+        modes = []
+        for pair, re, im, power, decay, freq in draws:
+            if pair and freq != 0.0:
+                rate = complex(decay, abs(freq))
+                modes += [(complex(re, im), power, rate), (complex(re, -im), power, rate.conjugate())]
+            else:
+                modes.append((re, power, decay))
+        x = Signal(modes)
+        assert format_signal(x) == format_signal_reference(x)
 
 
 class TestRationalFunction:

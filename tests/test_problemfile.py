@@ -287,6 +287,12 @@ REJECTED = {
         [],
         "ssr.A[1][0]: expected a number, got '1'",
     ),
+    "ragged ssr.A": (base_data(ssr={**SSR, "A": [[1, 2], [3]]}), [], "ssr.A[1]: expected 2 numbers, got 1"),
+    "rectangular ssr.A": (
+        base_data(ssr={**SSR, "A": [[0, -5, 1], [1, -6, 0]]}),
+        [],
+        "ssr.A[0]: expected 2 numbers, got 3",
+    ),
     "null in a rate pair": (
         base_data(input={"past": "zero", "future": [{"amp": 1, "rate": [None, 0]}]}),
         [],

@@ -328,6 +328,25 @@ class TestEquivalence:
         assert observability_rank(StateSpace(A, B, C, 0.0)) == 15
         assert calls == []
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="every state is seen by C, so the modular rank below 16 falls back to "
+        "Bareiss elimination over integers of thousands of digits (about 1.5 s)",
+    )
+    def test_copied_state_skips_the_exact_path(self, monkeypatch):
+        # state 5 a copy of state 0: column 5 of O equals column 0, so the
+        # exact rank is 15, with every state seen by C
+        def refuse(rows):
+            raise AssertionError("the exact rank reached Bareiss elimination")
+
+        monkeypatch.setattr("ltivp.realization._rank_bareiss", refuse)
+        A, B, C = decoupled_realization()
+        A[5, :] = A[0, :]
+        A[:, 5] = A[:, 0]
+        C[5] = C[0]
+        assert observability_rank(StateSpace(A, B, C, 0.0)) == 15
+
     def test_seen_states_keep_the_exact_rank(self):
         # sparse integer realizations, some states unseen by C: the rank on
         # the seen states is the exact rank of the full observability matrix
